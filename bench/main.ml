@@ -141,6 +141,7 @@ let micro_tests () =
   in
   [
     ("engines/sim-10k-instrs", fun () -> ignore (Ooo.cycles cfg p.trace p.evts));
+    ("engines/sim-run-10k", fun () -> ignore (Ooo.run cfg p.trace p.evts));
     ("engines/graph-build-10k", fun () -> ignore (Build.of_sim cfg p.trace p.evts result));
     ("engines/graph-eval-baseline", fun () -> ignore (Graph.critical_length graph));
     ( "engines/graph-eval-idealized",
@@ -471,25 +472,47 @@ let shard_pids_of router =
   | [ supervisor ] -> children_of supervisor
   | _ -> []
 
-let run_load () : (string * float) list =
-  let conns = env_int "ICOST_LOAD_CONNS" 16 in
-  (* Batch shape: deep pipelines and big frames buy qps but stack frames
-     behind each other on the shared core, inflating per-frame latency;
-     8-item frames at depth 1 keep both in-flight bytes and queueing
-     small enough that the batched p99 beats the sequential one while
-     still clearing the 2x throughput bar with margin. *)
-  let batch = min Protocol.max_batch_items (env_int "ICOST_LOAD_BATCH" 8) in
-  let batch_conns = env_int "ICOST_LOAD_BATCH_CONNS" 2 in
-  let depth = env_int "ICOST_LOAD_DEPTH" 1 in
-  let duration_s = env_float "ICOST_LOAD_DURATION_S" 3. in
+(* The shape of one load run, read from the environment once: the run and
+   its BENCH_load.json record both use this value, so the record reports
+   the settings actually measured (e.g. the clamped batch size). *)
+type load_settings = {
+  conns : int;
+  batch : int;
+  batch_conns : int;
+  depth : int;
+  duration_s : float;
+  soak_duration_s : float;
+  soak_kill_every_s : float;
+  soak_conns : int;
+}
+
+let load_settings () =
+  {
+    conns = env_int "ICOST_LOAD_CONNS" 16;
+    (* Batch shape: deep pipelines and big frames buy qps but stack
+       frames behind each other on the shared core, inflating per-frame
+       latency; 8-item frames at depth 1 keep both in-flight bytes and
+       queueing small enough that the batched p99 beats the sequential
+       one while still clearing the 2x throughput bar with margin. *)
+    batch = min Protocol.max_batch_items (env_int "ICOST_LOAD_BATCH" 8);
+    batch_conns = env_int "ICOST_LOAD_BATCH_CONNS" 2;
+    depth = env_int "ICOST_LOAD_DEPTH" 1;
+    duration_s = env_float "ICOST_LOAD_DURATION_S" 3.;
+    soak_duration_s = env_float "ICOST_SOAK_DURATION_S" 3.;
+    soak_kill_every_s = env_float "ICOST_SOAK_KILL_EVERY_S" 0.25;
+    soak_conns = env_int "ICOST_SOAK_CONNS" 4;
+  }
+
+let run_load (s : load_settings) : (string * float) list =
+  let { conns; batch; batch_conns; depth; duration_s; soak_duration_s;
+        soak_kill_every_s; soak_conns } =
+    s
+  in
   let gate = Sys.getenv_opt "ICOST_LOAD_GATE" <> Some "0" in
   let tmp tag =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "icost-load-%s-%d" tag (Unix.getpid ()))
   in
-  let soak_duration_s = env_float "ICOST_SOAK_DURATION_S" 3. in
-  let soak_kill_every_s = env_float "ICOST_SOAK_KILL_EVERY_S" 0.25 in
-  let soak_conns = env_int "ICOST_SOAK_CONNS" 4 in
   let soak_max_lat_ms = env_float "ICOST_SOAK_MAX_LAT_MS" 5000. in
   let soak_gate = Sys.getenv_opt "ICOST_SOAK_GATE" <> Some "0" in
   let socket1 = tmp "one.sock" and socket2 = tmp "two.sock" in
@@ -821,7 +844,7 @@ let run_load () : (string * float) list =
 (* BENCH_load.json: same row format as the other committed baselines,
    plus the load settings and the embedded run manifest so two artifacts
    are comparable across machines and CI runs. *)
-let write_load_json file (rows : (string * float) list) =
+let write_load_json file (s : load_settings) (rows : (string * float) list) =
   let manifest =
     Icost_report.Telemetry_export.manifest
       ~config_digest:(Icost_report.Telemetry_export.digest Config.default)
@@ -835,18 +858,14 @@ let write_load_json file (rows : (string * float) list) =
     "  \"generated-by\": \"dune exec bench/main.exe -- load --json\",\n";
   output_string oc "  \"unit\": \"qps / ms\",\n";
   Printf.fprintf oc "  \"settings\": {\n";
-  Printf.fprintf oc "    \"conns\": %d,\n" (env_int "ICOST_LOAD_CONNS" 16);
-  Printf.fprintf oc "    \"batch\": %d,\n" (env_int "ICOST_LOAD_BATCH" 8);
-  Printf.fprintf oc "    \"batch-conns\": %d,\n"
-    (env_int "ICOST_LOAD_BATCH_CONNS" 2);
-  Printf.fprintf oc "    \"depth\": %d,\n" (env_int "ICOST_LOAD_DEPTH" 1);
-  Printf.fprintf oc "    \"duration-s\": %g,\n"
-    (env_float "ICOST_LOAD_DURATION_S" 3.);
-  Printf.fprintf oc "    \"soak-duration-s\": %g,\n"
-    (env_float "ICOST_SOAK_DURATION_S" 3.);
-  Printf.fprintf oc "    \"soak-kill-every-s\": %g,\n"
-    (env_float "ICOST_SOAK_KILL_EVERY_S" 0.25);
-  Printf.fprintf oc "    \"soak-conns\": %d\n" (env_int "ICOST_SOAK_CONNS" 4);
+  Printf.fprintf oc "    \"conns\": %d,\n" s.conns;
+  Printf.fprintf oc "    \"batch\": %d,\n" s.batch;
+  Printf.fprintf oc "    \"batch-conns\": %d,\n" s.batch_conns;
+  Printf.fprintf oc "    \"depth\": %d,\n" s.depth;
+  Printf.fprintf oc "    \"duration-s\": %g,\n" s.duration_s;
+  Printf.fprintf oc "    \"soak-duration-s\": %g,\n" s.soak_duration_s;
+  Printf.fprintf oc "    \"soak-kill-every-s\": %g,\n" s.soak_kill_every_s;
+  Printf.fprintf oc "    \"soak-conns\": %d\n" s.soak_conns;
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"manifest\": %s,\n"
     (Icost_report.Telemetry_export.manifest_json manifest);
@@ -1362,8 +1381,9 @@ let () =
   if List.mem "load" ids then begin
     if List.exists (fun i -> i <> "load") ids then
       failwith "-- load cannot be combined with other bench modes";
-    let rows = run_load () in
-    Option.iter (fun f -> write_load_json f rows) !json_file;
+    let settings = load_settings () in
+    let rows = run_load settings in
+    Option.iter (fun f -> write_load_json f settings rows) !json_file;
     Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file;
     exit 0
   end;

@@ -597,11 +597,13 @@ let max_lanes = 64
 
 let c_sliced = Telemetry.counter "graph.sliced_evals"
 
-(* One bit-sliced topological pass pricing [nl] subsets
-   ([sets.(lo) .. sets.(lo + nl - 1)]) at once.  [slab] holds the
-   arrival-time vector of every node, node-major with stride [nl]
-   (lane [l] of node [v] lives at [slab.(v * nl + l)]); [latbuf] and
-   [lset] are per-pass scratch of length >= [nl].
+(* The unpacked lane kernel: one bit-sliced topological pass pricing [nl]
+   subsets ([sets.(lo) .. sets.(lo + nl - 1)]) at once.  [slab] holds the
+   arrival-time vector of every node, node-major with stride [nl] (lane
+   [l] of node [v] lives at [slab.(v * nl + l)]); [latbuf] and [lset] are
+   per-pass scratch of length >= [nl].  The caller reads whatever rows it
+   needs out of [slab]: the sink's C row for a whole graph, or the next
+   segment's carries for a streaming fragment.
 
    Each lane runs exactly the max-plus recurrence of {!eval_into} — the
    same edges in the same order with the same integer latencies — so per
@@ -619,10 +621,27 @@ let c_sliced = Telemetry.counter "graph.sliced_evals"
    ALU ops.  [ktab] only needs rows for masks the compiler emits:
    singleton category masks ([compile] builds every component and
    removal mask with [cat_mask]) plus row 0 (all [-1]) for
-   never-removed edges. *)
-let eval_chunk (t : t) (sets : Category.Set.t array) ~lo ~nl
-    ~(slab : int array) ~(latbuf : int array) ~(lset : int array)
-    ~(ktab : int array array) (out : int array) : unit =
+   never-removed edges.
+
+   Segment fragments additionally pin a prefix: the first [n_pinned]
+   nodes are boundary nodes whose per-lane arrival times were computed by
+   the previous segment and are loaded verbatim instead of evaluated
+   (their in-edge lists are empty by construction), and [ext_floors]
+   injects per-lane lower bounds for edges whose source fell off the
+   pinned prefix (register/store/line producers older than the boundary).
+   Because every edge satisfies [src < dst], continuing the max-plus
+   recurrence from pinned absolute times is exactly the monolithic
+   evaluation restarted mid-graph — streaming is bit-exact, not
+   approximate.  A whole graph is the case [n_pinned = 0] with no floors.
+
+   [pinned] is node-major with stride [pin_stride] and lane offset [lo]
+   (so carries can be stored once for all 256 subsets and evaluated in
+   32-lane chunks); [ext_floors] rows use the same [lo] offset and must be
+   sorted by node. *)
+let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
+    ~(n_pinned : int) ~(pinned : int array) ~(pin_stride : int)
+    ~(ext_floors : (int * int array) array) ~(latbuf : int array)
+    ~(lset : int array) ~(ktab : int array array) ~(slab : int array) : unit =
   let n = num_nodes t in
   let c = t.compiled in
   let nf = Array.length c.f_node in
@@ -636,8 +655,18 @@ let eval_chunk (t : t) (sets : Category.Set.t array) ~lo ~nl
       row.(l) <- (if mask land lset.(l) = 0 then -1 else 0)
     done
   done;
+  for v = 0 to n_pinned - 1 do
+    let boff = v * nl and poff = (v * pin_stride) + lo in
+    for l = 0 to nl - 1 do
+      Array.unsafe_set slab (boff + l) (Array.unsafe_get pinned (poff + l))
+    done
+  done;
   let fi = ref 0 in
-  for v = 0 to n - 1 do
+  while !fi < nf && c.f_node.(!fi) < n_pinned do incr fi done;
+  let nef = Array.length ext_floors in
+  let efi = ref 0 in
+  while !efi < nef && fst ext_floors.(!efi) < n_pinned do incr efi done;
+  for v = n_pinned to n - 1 do
     (* node [v]'s lane vector is maximized in place in the slab; no edge
        is a self-loop (src < dst), so reads of [soff + l] never alias it *)
     let boff = v * nl in
@@ -733,142 +762,6 @@ let eval_chunk (t : t) (sets : Category.Set.t array) ~lo ~nl
         Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
       done;
       incr fi
-    done
-  done;
-  let soff = node ~seq:(t.num_instrs - 1) ~kind:C * nl in
-  for l = 0 to nl - 1 do
-    out.(lo + l) <- slab.(soff + l) + 1
-  done
-
-(* ---------- pinned-prefix lanes (streaming fragments) ---------- *)
-
-(* Variant of {!eval_chunk} for segment fragments: the first [n_pinned]
-   nodes are boundary nodes whose per-lane arrival times were computed by
-   the previous segment and are loaded verbatim instead of evaluated
-   (their in-edge lists are empty by construction), and [ext_floors]
-   injects per-lane lower bounds for edges whose source fell off the
-   pinned prefix (register/store/line producers older than the boundary).
-   Because every edge satisfies [src < dst], continuing the max-plus
-   recurrence from pinned absolute times is exactly the monolithic
-   evaluation restarted mid-graph — streaming is bit-exact, not
-   approximate.  The caller keeps the whole [slab] (node-major, stride
-   [nl]) to extract the next segment's carries; no [out] row is written.
-
-   [pinned] is node-major with stride [pin_stride] and lane offset [lo]
-   (so carries can be stored once for all 256 subsets and evaluated in
-   32-lane chunks); [ext_floors] rows use the same [lo] offset and must be
-   sorted by node. *)
-let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
-    ~(n_pinned : int) ~(pinned : int array) ~(pin_stride : int)
-    ~(ext_floors : (int * int array) array) ~(latbuf : int array)
-    ~(lset : int array) ~(ktab : int array array) ~(slab : int array) : unit =
-  let n = num_nodes t in
-  let c = t.compiled in
-  let nf = Array.length c.f_node in
-  for l = 0 to nl - 1 do
-    lset.(l) <- sets.(lo + l)
-  done;
-  for ci = 0 to Category.count - 1 do
-    let mask = 1 lsl ci in
-    let row = ktab.(mask) in
-    for l = 0 to nl - 1 do
-      row.(l) <- (if mask land lset.(l) = 0 then -1 else 0)
-    done
-  done;
-  for v = 0 to n_pinned - 1 do
-    let boff = v * nl and poff = (v * pin_stride) + lo in
-    for l = 0 to nl - 1 do
-      Array.unsafe_set slab (boff + l) (Array.unsafe_get pinned (poff + l))
-    done
-  done;
-  let fi = ref 0 in
-  while !fi < nf && c.f_node.(!fi) < n_pinned do incr fi done;
-  let nef = Array.length ext_floors in
-  let efi = ref 0 in
-  while !efi < nef && fst ext_floors.(!efi) < n_pinned do incr efi done;
-  for v = n_pinned to n - 1 do
-    let boff = v * nl in
-    for l = 0 to nl - 1 do
-      Array.unsafe_set slab (boff + l) 0
-    done;
-    let hi = t.first_in.(v + 1) in
-    for k = t.first_in.(v) to hi - 1 do
-      let rm = Array.unsafe_get c.e_removed k in
-      let base = Array.unsafe_get c.e_base k in
-      let o0 = Array.unsafe_get c.e_comp_off k in
-      let o1 = Array.unsafe_get c.e_comp_off (k + 1) in
-      let soff = Array.unsafe_get c.e_src k * nl in
-      if o0 = o1 then
-        if rm = 0 then
-          for l = 0 to nl - 1 do
-            let cur = Array.unsafe_get slab (boff + l) in
-            let d = Array.unsafe_get slab (soff + l) + base - cur in
-            Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-          done
-        else begin
-          let row = Array.unsafe_get ktab rm in
-          for l = 0 to nl - 1 do
-            let cur = Array.unsafe_get slab (boff + l) in
-            let d =
-              (Array.unsafe_get slab (soff + l) + base - cur)
-              land Array.unsafe_get row l
-            in
-            Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-          done
-        end
-      else if rm = 0 && o0 + 1 = o1 then begin
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask o0) in
-        let d0 = Array.unsafe_get c.comp_lat o0 in
-        for l = 0 to nl - 1 do
-          let cur = Array.unsafe_get slab (boff + l) in
-          let d =
-            Array.unsafe_get slab (soff + l)
-            + base
-            + (d0 land Array.unsafe_get crow l)
-            - cur
-          in
-          Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-        done
-      end
-      else begin
-        Array.fill latbuf 0 nl base;
-        for j = o0 to o1 - 1 do
-          let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask j) in
-          let d = Array.unsafe_get c.comp_lat j in
-          for l = 0 to nl - 1 do
-            Array.unsafe_set latbuf l
-              (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
-          done
-        done;
-        let rrow = Array.unsafe_get ktab rm in
-        for l = 0 to nl - 1 do
-          let cur = Array.unsafe_get slab (boff + l) in
-          let d =
-            (Array.unsafe_get slab (soff + l) + Array.unsafe_get latbuf l - cur)
-            land Array.unsafe_get rrow l
-          in
-          Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-        done
-      end
-    done;
-    while !fi < nf && c.f_node.(!fi) = v do
-      let fb = c.f_base.(!fi) in
-      let j0 = c.f_off.(!fi) and j1 = c.f_off.(!fi + 1) in
-      Array.fill latbuf 0 nl fb;
-      for j = j0 to j1 - 1 do
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.f_comp_mask j) in
-        let d = Array.unsafe_get c.f_comp_lat j in
-        for l = 0 to nl - 1 do
-          Array.unsafe_set latbuf l
-            (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
-        done
-      done;
-      for l = 0 to nl - 1 do
-        let cur = Array.unsafe_get slab (boff + l) in
-        let d = Array.unsafe_get latbuf l - cur in
-        Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-      done;
-      incr fi
     done;
     while !efi < nef && fst ext_floors.(!efi) = v do
       let row = snd ext_floors.(!efi) in
@@ -909,7 +802,7 @@ let[@inline always] sw_max cur cand =
   let fm = m - (m lsr 20) in
   cand land fm lor (cur land lnot fm)
 
-(* Packed twin of {!eval_chunk}: [nl] lanes in [pw = ceil (nl / 3)] words
+(* Packed twin of {!eval_lanes_pinned} for whole graphs: [nl] lanes in [pw = ceil (nl / 3)] words
    per node.  The lane vector is padded to whole words with copies of the
    last subset, so padding fields run a real lane's recurrence and the
    overflow bound covers them; only [nl] results are unpacked.  A node's
@@ -1118,11 +1011,16 @@ let eval_slices ?(lanes = max_lanes) (t : t) (sets : Category.Set.t array) :
           for ci = 0 to Category.count - 1 do
             ktab.(1 lsl ci) <- Array.make lanes 0
           done;
+          let sink = node ~seq:(t.num_instrs - 1) ~kind:C in
           for ch = lo to hi - 1 do
             let slo = ch * lanes in
             let nl = min lanes (m - slo) in
             Telemetry.incr c_sliced;
-            eval_chunk t sets ~lo:slo ~nl ~slab ~latbuf ~lset ~ktab out
+            eval_lanes_pinned t sets ~lo:slo ~nl ~n_pinned:0 ~pinned:[||]
+              ~pin_stride:0 ~ext_floors:[||] ~latbuf ~lset ~ktab ~slab;
+            for l = 0 to nl - 1 do
+              out.(slo + l) <- slab.((sink * nl) + l) + 1
+            done
           done
         end);
     if Telemetry.enabled () then

@@ -173,15 +173,19 @@ val eval_lanes_pinned :
   ktab:int array array ->
   slab:int array ->
   unit
-(** Bit-sliced pass over a streaming segment fragment: the first
+(** The unpacked bit-sliced lane kernel, shared by streaming segment
+    fragments and by {!eval_slices} on whole graphs whose latency bound
+    rules out SWAR packing (the case [n_pinned = 0] with no floors; the
+    sweep reads the sink's Commit row out of [slab]).  The first
     [n_pinned] nodes are boundary nodes loaded verbatim from [pinned]
     (node-major, stride [pin_stride], lane offset [lo]) instead of
     evaluated, and [ext_floors] (sorted by node, rows offset by [lo])
     injects per-lane lower bounds for producers older than the pinned
     prefix.  Evaluates lanes [sets.(lo) .. sets.(lo + nl - 1)]
     ([nl <= max_lanes]) into the caller's [slab] (node-major, stride
-    [nl]), which is retained so the caller can extract the next segment's
-    boundary carries.  [latbuf]/[lset] are scratch of length >= [nl];
+    [nl]); no result row is written elsewhere, so the caller reads what it
+    needs (the sink row, or the next segment's boundary carries) from
+    the slab.  [latbuf]/[lset] are scratch of length >= [nl];
     [ktab] must have 256 rows of length >= [nl] with row 0 all [-1].
     Since every edge satisfies [src < dst], continuing the recurrence from
     pinned absolute times is exactly the monolithic evaluation restarted

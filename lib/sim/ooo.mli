@@ -5,7 +5,10 @@
     Wrong-path instructions are not simulated; a misprediction contributes
     a fetch-redirect bubble.  Every idealization of the paper's Table 1 is
     honored through {!Icost_uarch.Config.ideal}, which is how the
-    "multisim" oracle measures costs. *)
+    "multisim" oracle measures costs.
+
+    The model has one implementation, the stepper {!Stream.step}; {!run}
+    and {!cycles} are folds of it over a whole trace. *)
 
 module Config = Icost_uarch.Config
 module Events = Icost_uarch.Events
@@ -46,18 +49,21 @@ val fetch_queue_size : int
 (** How far fetch may run ahead of dispatch. *)
 
 val run : Config.t -> Trace.t -> Events.evt array -> result
-(** Time the execution.  [evts] must come from
+(** Time the execution, keeping every instruction's slot: the fold of
+    {!Stream.step} over the trace.  [evts] must come from
     {!Icost_uarch.Events.annotate} on a configuration with the same
     structural parameters. *)
 
 val cycles : Config.t -> Trace.t -> Events.evt array -> int
+(** [(run cfg trace evts).cycles], without building the slot array. *)
+
 val ipc : result -> float
 
-(** Streaming twin of {!run}: identical timing semantics over bounded
-    state (a fixed ring of recent slots plus footprint-bounded completion
-    maps), so arbitrarily long traces can be timed one instruction at a
-    time.  Feeding the instructions of a trace in order yields slots
-    bit-identical to {!run} on that trace. *)
+(** The timing model as a stepper over bounded state (a fixed ring of
+    recent slots plus footprint-bounded completion and occupancy maps), so
+    arbitrarily long traces can be timed one instruction at a time.
+    Feeding the instructions of a trace in order yields exactly the slots
+    of {!run} on that trace. *)
 module Stream : sig
   type t
 
@@ -67,9 +73,6 @@ module Stream : sig
   val step : t -> Trace.dyn -> Events.evt -> slot
   (** Time the next committed instruction; must be fed strictly in trace
       order with its matching annotation. *)
-
-  val processed : t -> int
-  (** Instructions timed so far. *)
 
   val cycles : t -> int
   (** Commit cycle of the last instruction plus one (0 before any). *)

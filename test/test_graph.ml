@@ -223,8 +223,14 @@ let test_sliced_unpacked_fallback () =
     (Graph.critical_length g > 1 lsl 20);
   Alcotest.(check bool) "unpacked fallback bit-identical" true
     (Graph.eval_subsets g all_subsets = reference);
-  Alcotest.(check bool) "unpacked fallback, lanes=5" true
-    (Graph.eval_slices ~lanes:5 g all_subsets = reference)
+  (* partial and full chunks both run the pinned lane kernel *)
+  List.iter
+    (fun lanes ->
+      Alcotest.(check bool)
+        (Printf.sprintf "unpacked fallback, lanes=%d" lanes)
+        true
+        (Graph.eval_slices ~lanes g all_subsets = reference))
+    [ 1; 5; 32; 64 ]
 
 let prop_eval_deterministic =
   QCheck.Test.make ~name:"evaluation is deterministic" ~count:5

@@ -1,5 +1,5 @@
 (* Tests for the streaming analysis core: front-end stepper equivalence,
-   bounded-state simulator bit-identity, segmented-vs-monolithic exactness
+   a golden pin of the timing model's slots, segmented-vs-monolithic exactness
    across segment seams, job-count determinism, bounded memory, and the
    stream_segment fault seam. *)
 
@@ -67,30 +67,78 @@ let test_source_of_program () =
        | None -> ()))
     [ "gcc"; "mcf" ]
 
-(* ---- bounded-state simulator: bit-identical slots vs Ooo.run ---- *)
+(* ---- the timing model: golden slots, and every consumer agrees ---- *)
 
-let test_stream_sim_bit_identity () =
+(* FNV-1a (32-bit) over the little-endian bytes of a sequence of ints. *)
+let fnv32 ints =
+  Seq.fold_left
+    (fun h v ->
+      let h = ref h in
+      for byte = 0 to 7 do
+        h := ((!h lxor ((v lsr (8 * byte)) land 0xff)) * 0x01000193) land 0xffffffff
+      done;
+      !h)
+    0x811c9dc5 ints
+
+let slot_fields (s : Ooo.slot) =
+  List.to_seq
+    [ s.fetch; s.dispatch; s.ready; s.exec_start; s.complete; s.commit;
+      s.exec_lat; s.fu_wait; s.imiss_delay; s.store_wait ]
+
+let slots_hash (slots : Ooo.slot array) =
+  fnv32 (Seq.flat_map slot_fields (Array.to_seq slots))
+
+(* Golden (cycles, slot hash) pairs recorded from the original monolithic
+   simulator before it was replaced by the fold of [Ooo.Stream.step]: a
+   timing change anywhere in the model moves at least one of them. *)
+let test_sim_golden () =
+  let check name cfg (trace : Trace.t) evts (cycles, hash) =
+    let r = Ooo.run cfg trace evts in
+    Alcotest.(check int) (name ^ " cycles") cycles r.Ooo.cycles;
+    Alcotest.(check int) (name ^ " slot hash") hash (slots_hash r.Ooo.slots);
+    (* the stepper driven by hand and the cycles-only fold agree with it *)
+    let sim = Ooo.Stream.create cfg in
+    Array.iteri
+      (fun i d ->
+        if Ooo.Stream.step sim d evts.(i) <> r.Ooo.slots.(i) then
+          Alcotest.failf "%s: slot %d differs (step vs run)" name i)
+      trace.Trace.instrs;
+    Alcotest.(check int) (name ^ " Stream.cycles") cycles (Ooo.Stream.cycles sim);
+    Alcotest.(check int) (name ^ " Ooo.cycles") cycles (Ooo.cycles cfg trace evts)
+  in
   List.iter
-    (fun (name, cfg) ->
+    (fun (name, cfg, golden) ->
       let strace, sevts = prepare ~cfg name in
-      let r = Ooo.run cfg strace sevts in
-      let sim = Ooo.Stream.create cfg in
-      Array.iteri
-        (fun i d ->
-          let s = Ooo.Stream.step sim d sevts.(i) in
-          if s <> r.Ooo.slots.(i) then
-            Alcotest.failf "%s: slot %d differs (stream vs monolithic)" name i)
-        strace.Trace.instrs;
-      Alcotest.(check int)
-        (name ^ " cycles") r.Ooo.cycles
-        (Ooo.Stream.cycles sim))
+      check name cfg strace sevts golden)
     [
-      ("gcc", Config.default);
-      ("vortex", Config.default);
-      ("mcf", Config.loop_dl1);
-      ("crafty", Config.loop_bmisp);
-      ("twolf", Config.loop_wakeup);
-    ]
+      ("gcc", Config.default, (8702, 3209542476));
+      ("vortex", Config.default, (6988, 225963376));
+      ("mcf", Config.loop_dl1, (47051, 524773656));
+      ("crafty", Config.loop_bmisp, (3185, 2053775181));
+      ("twolf", Config.loop_wakeup, (10798, 2576461141));
+    ];
+  let program = Icost_check.Gen.generate ~profile:Icost_check.Gen.Alias_heavy 31415 in
+  let trace =
+    Interp.run ~config:{ Interp.default_config with max_instrs = 6000 } program
+  in
+  let evts, _ = Events.annotate Config.default trace in
+  check "alias-heavy seed" Config.default trace evts (2322, 2399388740);
+  (* every idealization: the cycles-only fold = the slot-collecting one,
+     and the 256 cycle counts match the original simulator's *)
+  let strace, sevts = prepare ~cfg:Config.loop_dl1 "gcc" in
+  let per_set =
+    Array.map
+      (fun s ->
+        let cfg = { Config.loop_dl1 with ideal = Icost_sim.Multisim.ideal_of_set s } in
+        let c = Ooo.cycles cfg strace sevts in
+        let r = Ooo.run cfg strace sevts in
+        if c <> r.Ooo.cycles then
+          Alcotest.failf "%s: Ooo.cycles %d vs Ooo.run %d" (Category.Set.name s) c
+            r.Ooo.cycles;
+        c)
+      all_sets
+  in
+  Alcotest.(check int) "256-idealization cycles hash" 1001111021 (fnv32 (Array.to_seq per_set))
 
 (* ---- segmented aggregate = monolithic 256-subset table, exactly ---- *)
 
@@ -319,7 +367,7 @@ let suite =
   ( "stream",
     [
       Alcotest.test_case "source of_program = slice" `Quick test_source_of_program;
-      Alcotest.test_case "stream sim bit-identity" `Quick test_stream_sim_bit_identity;
+      Alcotest.test_case "stream sim bit-identity" `Quick test_sim_golden;
       Alcotest.test_case "stream = monolithic (256 subsets)" `Quick
         test_stream_matches_monolithic;
       Alcotest.test_case "segment-size invariance" `Quick test_segment_invariance;
