@@ -264,7 +264,6 @@ let run_service () : (string * float) list =
       Snapshot.establish ~cache_dir ~key ~kind ~cfg
         ~seed:Icost_profiler.Sampler.default_opts.seed
         ~prepare:(fun () -> Runner.prepare settings w)
-        ~baseline:(fun p -> Runner.baseline_run cfg p)
         ()
     in
     let run () =

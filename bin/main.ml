@@ -212,7 +212,6 @@ let establish_session ~cache_dir ~bench ~variant ~oracle ~warmup ~measure ~seed 
         Runner.prepare
           (settings ~warmup ~measure ~benches:(Some bench))
           (Workload.find_exn bench))
-      ~baseline:(fun p -> Runner.baseline_run cfg p)
       ()
   in
   let persist () =

@@ -52,16 +52,15 @@ let touch t e =
   t.tick <- t.tick + 1;
   e.stamp <- t.tick
 
+(* Caller holds the lock. *)
+let ready_count t =
+  Hashtbl.fold (fun _ e n -> match e.state with Ready _ -> n + 1 | _ -> n) t.tbl 0
+
 (* Evict ready entries (never pending ones), oldest stamp first, until at
    most [limit] remain.  Caller holds the lock; returns the count shed. *)
 let evict_down_to t limit =
-  let ready_count () =
-    Hashtbl.fold
-      (fun _ e n -> match e.state with Ready _ -> n + 1 | _ -> n)
-      t.tbl 0
-  in
   let shed = ref 0 in
-  while ready_count () > limit do
+  while ready_count t > limit do
     let victim =
       Hashtbl.fold
         (fun k e acc ->
@@ -129,6 +128,34 @@ let rec find_or_add (t : 'v t) (key : string) (build : unit -> 'v) : 'v =
      | Failed e -> raise e
      | Pending -> assert false)
 
+let find_opt t key =
+  Mutex.lock t.mutex;
+  let found =
+    match Hashtbl.find_opt t.tbl key with
+    | Some ({ state = Ready v; _ } as e) ->
+      touch t e;
+      t.hits <- t.hits + 1;
+      Some v
+    | Some { state = Pending | Failed _; _ } | None ->
+      t.misses <- t.misses + 1;
+      None
+  in
+  Mutex.unlock t.mutex;
+  Telemetry.incr (if Option.is_some found then t.c_hits else t.c_misses);
+  found
+
+let add t key v =
+  Mutex.lock t.mutex;
+  (match Hashtbl.find_opt t.tbl key with
+   | Some ({ state = Ready _; _ } as e) -> touch t e
+   | Some { state = Pending; _ } -> ()  (* a builder owns the key *)
+   | Some { state = Failed _; _ } | None ->
+     let e = { state = Ready v; stamp = 0 } in
+     touch t e;
+     Hashtbl.replace t.tbl key e;
+     enforce_cap t);
+  Mutex.unlock t.mutex
+
 let remove t key =
   Mutex.lock t.mutex;
   let removed =
@@ -147,25 +174,13 @@ let trim t ~keep =
   Mutex.unlock t.mutex;
   shed
 
-let length t =
-  Mutex.lock t.mutex;
-  let n =
-    Hashtbl.fold
-      (fun _ e n -> match e.state with Ready _ -> n + 1 | _ -> n)
-      t.tbl 0
-  in
-  Mutex.unlock t.mutex;
-  n
-
 let stats t =
   Mutex.lock t.mutex;
-  let entries =
-    Hashtbl.fold
-      (fun _ e n -> match e.state with Ready _ -> n + 1 | _ -> n)
-      t.tbl 0
-  in
   let s =
-    { hits = t.hits; misses = t.misses; evictions = t.evictions; entries }
+    { hits = t.hits; misses = t.misses; evictions = t.evictions;
+      entries = ready_count t }
   in
   Mutex.unlock t.mutex;
   s
+
+let length t = (stats t).entries

@@ -1,9 +1,10 @@
 (** Concurrent single-flight LRU cache for server sessions.
 
-    The server keeps prepared workloads, baseline simulation results and
-    memoized cost oracles in instances of this cache, keyed by strings
-    derived from the request target (see [doc/protocol.md] for the exact
-    key layout).  Two properties matter more than raw speed here:
+    The server keeps prepared workloads, memoized cost oracles, encoded
+    frame results and priced sweep points in instances of this cache,
+    keyed by strings derived from the request target (see
+    [doc/protocol.md] for the exact key layout).  Two properties matter
+    more than raw speed here:
 
     - {b single flight}: when N clients miss on the same key at once, the
       builder runs exactly once; the other N-1 block until the value is
@@ -30,6 +31,16 @@ val find_or_add : 'v t -> string -> (unit -> 'v) -> 'v
     the same key wait for it rather than re-running it.  The build is an
     {!Icost_util.Fault} injection point named [cache_build.<name>]: when
     armed, the builder raises [Fault.Injected] instead of running. *)
+
+val find_opt : 'v t -> string -> 'v option
+(** Look the key up without building: a ready entry counts a hit (and
+    refreshes its LRU stamp), anything else a miss.  Never inserts and
+    never waits on an in-flight build. *)
+
+val add : 'v t -> string -> 'v -> unit
+(** Insert a ready value under the LRU cap without counting a lookup.
+    A key that already holds a value keeps it (its stamp is refreshed);
+    a key whose build is in flight is left to its builder. *)
 
 val remove : 'v t -> string -> bool
 (** Drop the key's entry if it is resolved (ready or failed); in-flight

@@ -397,12 +397,10 @@ let encode_reply (r : reply) : string =
 
 (* ---------- pre-encoded reply assembly ----------
 
-   The server's reply cache stores result objects as already-encoded
+   The server's frame memo stores result objects as already-encoded
    JSON; these helpers splice such fragments into reply envelopes.  The
    splices must stay byte-identical to [encode_reply] on the equivalent
    tree — clients and tests compare replies as raw strings. *)
-
-let encode_op (op : op) : string = Json.encode (Json.Obj (op_fields op))
 
 let encode_result (body : result_body) : string = Json.encode (result_json body)
 

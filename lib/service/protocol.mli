@@ -109,9 +109,8 @@ type status_body = {
   queue_depth : int;
   sessions : int;  (** entries in the session cache *)
   cache_hits : int;
-      (** summed over the prep/baseline/session/reply caches (the frame
-          memo is excluded — its hits re-serve bytes the reply cache
-          already counted) *)
+      (** summed over the prep/session/sweep caches (the frame memo is
+          excluded — its hits re-serve bytes, not analysis state) *)
   cache_misses : int;
   cache_evictions : int;
   snapshot_hits : int;  (** persistent graph-snapshot store; all 0 without --cache-dir *)
@@ -249,16 +248,11 @@ val decode_reply : string -> (reply, string) result
 
 (** {2 Pre-encoded reply assembly}
 
-    The server's reply cache stores result objects in already-encoded
+    The server's frame memo stores result objects in already-encoded
     form; these helpers build reply lines around such fragments.  Their
     output is byte-identical to {!encode_reply} on the equivalent tree,
     so cached and freshly computed replies cannot be told apart on the
     wire. *)
-
-val encode_op : op -> string
-(** Canonical encoding of one op — the same object shape as a batch
-    item (no envelope).  Stable across decode/encode round-trips, which
-    makes it usable as a cache key for idempotent queries. *)
 
 val encode_result : result_body -> string
 (** The bare result object of a successful reply. *)

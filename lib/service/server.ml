@@ -8,7 +8,6 @@ module Category = Icost_core.Category
 module Cost = Icost_core.Cost
 module Breakdown = Icost_core.Breakdown
 module Trace = Icost_isa.Trace
-module Ooo = Icost_sim.Ooo
 module Build = Icost_depgraph.Build
 module Graph = Icost_depgraph.Graph
 module Sampler = Icost_profiler.Sampler
@@ -59,12 +58,6 @@ exception Bad of string
 (* a request's deadline elapsed (checked between oracle evaluations) *)
 exception Deadline
 
-(* a sweep completed but at least one grid point reported a per-point
-   error: the body is a valid success reply, yet it must bypass the
-   reply/frame memos — point failures are transient by design (injected
-   faults, mid-sweep deadlines), so re-asking must re-evaluate *)
-exception Partial_sweep of P.result_body
-
 (* A session keeps the full establishment record (not just the oracle):
    the memo handle and session key are what [Snapshot.persist] needs to
    re-save a grown memo table after each successful analysis. *)
@@ -83,31 +76,25 @@ type t = {
   started : float;
   sched : Scheduler.t;
   prep_cache : Runner.prepared Cache.t;
-  baseline_cache : Ooo.result Cache.t;
   session_cache : session Cache.t;
-  reply_cache : string Cache.t;
-      (* encoded result objects keyed by the canonical op encoding: every
-         analysis op is a pure function of its target, so a repeated query
-         can be answered from the wire bytes of the first — without even
-         re-encoding the floats.  Failures are never cached (the builder
-         raises), and the breaker/fault/deadline checks run before the
-         lookup so supervision semantics are unchanged on hits. *)
   sweep_cache : float Cache.t;
       (* priced sweep grid points keyed by prep key + config digest of
          the perturbed point + engine (see [sweep_point_key]): the unit
          of reuse is one (workload window, config point) evaluation, so
          two sweeps over overlapping grids — or one sweep re-issued with
-         a wider range — only pay for the new points.  Values are bare
+         a wider range — only pay for the new points.  No session memo
+         holds these: every point is a perturbed config.  Values are bare
          cycle counts, so the cap can be generous. *)
   frame_cache : string Cache.t;
-      (* the same idea one level up: encoded result fragments of whole
-         frames, keyed by the frame text minus its request id
-         ({!P.split_frame_id}).  A hit skips decoding, per-item cache
-         lookups and reply assembly entirely.  Populated only by frames
-         whose every item is an analysis op that succeeded; bypassed
-         while faults are armed or the server is draining, and purged
-         whenever supervision charges a failure, so breaker/fault
-         semantics are identical to the uncached path. *)
+      (* encoded result fragments of whole frames, keyed by the frame
+         text minus its request id ({!P.split_frame_id}): every analysis
+         op is a pure function of its target, so a repeated frame is
+         answered from the wire bytes of the first, skipping decoding,
+         analysis and reply assembly.  Populated only by frames whose
+         every item is an analysis op that succeeded; bypassed while
+         faults are armed or the server is draining, and purged whenever
+         supervision charges a failure, so breaker/fault semantics are
+         identical to the uncached path. *)
   requests : int Atomic.t;
   shutdown_requested : bool Atomic.t;
   breaker : Breaker.t;
@@ -195,10 +182,10 @@ let set_of_spec spec =
 
 (* ---------- session construction (the cached preparation path) ---------- *)
 
-(* Cache keys nest: prep ⊂ baseline ⊂ session, so a cache hit at any
-   layer implies agreement on everything the layer below depends on.  The
-   seed only reaches the profiler's sampling PRNG, so non-profiler
-   sessions normalize it away rather than splitting the cache. *)
+(* Cache keys nest: prep ⊂ session, so a session hit implies agreement
+   on everything its preparation depends on.  The seed only reaches the
+   profiler's sampling PRNG, so non-profiler sessions normalize it away
+   rather than splitting the cache. *)
 let prep_key (tg : P.target) =
   Printf.sprintf "%s|w%d|m%d" tg.workload tg.warmup tg.measure
 
@@ -221,22 +208,18 @@ let cfg_digest =
     | Some d -> d
     | None -> Texport.digest cfg
 
-let baseline_key (tg : P.target) cfg =
-  Printf.sprintf "%s|%s" (prep_key tg) (cfg_digest cfg)
-
 (* One priced grid point of a sweep: workload window + the digest of the
    whole perturbed config + pricing engine.  Deliberately *not* derived
    from the variant name — two sweep points must never alias each other
-   (or a prep/baseline entry) even when every human-visible field
-   matches, so the digest does the separating. *)
+   (or a prep entry) even when every human-visible field matches, so the
+   digest does the separating. *)
 let sweep_point_key (tg : P.target) cfg ~engine =
   Printf.sprintf "%s|%s|%s" (prep_key tg) (cfg_digest cfg) engine
 
 let session_key (tg : P.target) cfg kind =
   let seed = match kind with Runner.Profiler -> tg.seed | _ -> 0 in
-  Printf.sprintf "%s|%s|s%d" (baseline_key tg cfg)
-    (Runner.oracle_kind_name kind)
-    seed
+  Printf.sprintf "%s|%s|%s|s%d" (prep_key tg) (cfg_digest cfg)
+    (Runner.oracle_kind_name kind) seed
 
 let prepared_of t (tg : P.target) =
   let w = workload_of_name tg.workload in
@@ -246,56 +229,29 @@ let prepared_of t (tg : P.target) =
   Cache.find_or_add t.prep_cache (prep_key tg) (fun () ->
       Runner.prepare settings w)
 
-let session_of t (tg : P.target) : Runner.prepared * session =
+(* One establishment path with or without a snapshot store: preparation
+   is deferred into [establish], so a disk hit skips it entirely and then
+   seeds the prep cache, letting later requests on other variants and
+   engines share the loaded execution. *)
+let session_of t (tg : P.target) : session =
   let cfg = config_of_variant tg.variant in
   let kind = kind_of_engine tg.engine in
   let skey = session_key tg cfg kind in
-  let baseline_of prepared =
-    Cache.find_or_add t.baseline_cache (baseline_key tg cfg) (fun () ->
-        Runner.baseline_run cfg prepared)
-  in
-  match t.opts.cache_dir with
-  | None ->
-    (* no snapshot store: resolve preparation before the session lookup,
-       keeping the request path (and cache tallies) of a store-less
-       server exactly as they were *)
-    let prepared = prepared_of t tg in
-    let session =
-      Cache.find_or_add t.session_cache skey (fun () ->
-          let est =
-            Snapshot.establish ~key:skey ~kind ~cfg ~seed:tg.seed
-              ~prepare:(fun () -> prepared)
-              ~baseline:(fun _ -> baseline_of prepared)
-              ()
-          in
-          { est; skey; gstats = Atomic.make None })
-    in
-    (prepared, session)
-  | Some dir ->
-    (* snapshot store on: defer preparation into [establish] so a disk
-       hit skips the prepare/baseline pipeline entirely, then seed the
-       prep cache from the result so later requests on other variants
-       and engines still share it *)
-    let session =
-      Cache.find_or_add t.session_cache skey (fun () ->
-          let est =
-            Snapshot.establish ~cache_dir:dir ~key:skey ~kind ~cfg
-              ~seed:tg.seed
-              ~prepare:(fun () -> prepared_of t tg)
-              ~baseline:baseline_of ()
-          in
-          (match est.Snapshot.est_disk with
-           | `Hit -> Atomic.incr t.snap_hits
-           | `Miss -> Atomic.incr t.snap_misses
-           | `Reject -> Atomic.incr t.snap_rejects
-           | `Off -> ());
-          { est; skey; gstats = Atomic.make None })
-    in
-    let prepared =
-      Cache.find_or_add t.prep_cache (prep_key tg) (fun () ->
-          session.est.Snapshot.est_prepared)
-    in
-    (prepared, session)
+  Cache.find_or_add t.session_cache skey (fun () ->
+      let est =
+        Snapshot.establish ?cache_dir:t.opts.cache_dir ~key:skey ~kind ~cfg
+          ~seed:tg.seed
+          ~prepare:(fun () -> prepared_of t tg)
+          ()
+      in
+      (match est.Snapshot.est_disk with
+       | `Hit ->
+         Atomic.incr t.snap_hits;
+         Cache.add t.prep_cache (prep_key tg) est.Snapshot.est_prepared
+       | `Miss -> Atomic.incr t.snap_misses
+       | `Reject -> Atomic.incr t.snap_rejects
+       | `Off -> ());
+      { est; skey; gstats = Atomic.make None })
 
 (* Re-save the session's snapshot when an analysis grew its memo table,
    so the next cold start replays those subsets from disk. *)
@@ -374,7 +330,7 @@ let analyze t ~deadline (op : P.op) : P.result_body =
   match op with
   | P.Breakdown { target; focus } ->
     let focus_cat = category_of_name focus in
-    let _, session = session_of t target in
+    let session = session_of t target in
     check_deadline deadline;
     let bd =
       Breakdown.focus
@@ -397,7 +353,7 @@ let analyze t ~deadline (op : P.op) : P.result_body =
       }
   | P.Icost { target; sets } ->
     let specs = List.map set_of_spec sets in
-    let _, session = session_of t target in
+    let session = session_of t target in
     check_deadline deadline;
     let o = guard deadline session.est.Snapshot.est_oracle in
     let base = Cost.query o Category.Set.empty in
@@ -417,7 +373,7 @@ let analyze t ~deadline (op : P.op) : P.result_body =
     P.R_icost { baseline = base; rows }
   | P.Graph_stats { target } ->
     let target = { target with P.engine = "graph" } in
-    let prepared, session = session_of t target in
+    let session = session_of t target in
     check_deadline deadline;
     (match Atomic.get session.gstats with
      | Some body -> body
@@ -427,7 +383,7 @@ let analyze t ~deadline (op : P.op) : P.result_body =
           let body =
             P.R_graph_stats
               {
-                instrs = Trace.length prepared.trace;
+                instrs = Trace.length session.est.Snapshot.est_prepared.trace;
                 nodes = Graph.num_nodes g;
                 edges = Graph.num_edges g;
                 critical_path = Graph.critical_length g;
@@ -479,16 +435,7 @@ let analyze t ~deadline (op : P.op) : P.result_body =
     let res = Sweep.run ~point_cache ~engine ~cfg ~prepared ~axes () in
     ignore (Atomic.fetch_and_add t.sweep_points res.Sweep.sw_points);
     ignore (Atomic.fetch_and_add t.sweep_hits res.Sweep.sw_cache_hits);
-    let body = sweep_body res in
-    let clean =
-      List.for_all
-        (fun cv ->
-          List.for_all
-            (fun pt -> Result.is_ok pt.Sweep.pt_outcome)
-            cv.Sweep.cv_points)
-        res.Sweep.sw_curves
-    in
-    if clean then body else raise (Partial_sweep body)
+    sweep_body res
   | P.Batch _ | P.Status | P.Health | P.Drain | P.Shutdown ->
     assert false (* batch items are dispatched individually; the rest are
                     handled inline, never queued *)
@@ -502,7 +449,7 @@ let health_of t =
 
 (* High-water checks run on the connection thread before each analysis is
    queued.  Tripping either (queue nearly full, or the OCaml heap past the
-   configured budget) sheds the coldest session/baseline entries — the
+   configured budget) sheds the coldest session and prep entries — the
    expensive state — and holds [health] at "degraded" for a short window so
    clients polling [health] see the pressure even after it clears. *)
 let check_pressure t =
@@ -516,9 +463,8 @@ let check_pressure t =
     let keep = t.opts.cache_cap / 2 in
     let shed =
       Cache.trim t.session_cache ~keep
-      + Cache.trim t.baseline_cache ~keep
-      + Cache.trim t.reply_cache ~keep:(16 * t.opts.cache_cap)
-      + Cache.trim t.frame_cache ~keep:(4 * t.opts.cache_cap)
+      + Cache.trim t.prep_cache ~keep
+      + Cache.trim t.frame_cache ~keep:(16 * t.opts.cache_cap)
       + Cache.trim t.sweep_cache ~keep:(32 * t.opts.cache_cap)
     in
     if shed > 0 then begin
@@ -547,10 +493,8 @@ let breaker_key_of (op : P.op) : string option =
 let status_body t : P.status_body =
   let sum_caches f =
     f (Cache.stats t.prep_cache)
-    + f (Cache.stats t.baseline_cache)
     + f (Cache.stats t.session_cache)
     + f (Cache.stats t.sweep_cache)
-    + f (Cache.stats t.reply_cache)
   in
   {
     P.uptime_s = Unix.gettimeofday () -. t.started;
@@ -615,17 +559,22 @@ let exn_message = function
   | Fault.Injected p -> Printf.sprintf "injected fault at point %S" p
   | e -> Printexc.to_string e
 
+(* A sweep with a failed grid point is a valid success reply, yet it must
+   stay out of the frame memo: point failures are transient by design
+   (injected faults, mid-sweep deadlines), so re-asking must re-evaluate. *)
+let memoizable = function
+  | P.R_sweep { curves; _ } ->
+    List.for_all
+      (fun cv ->
+        List.for_all (fun pt -> Result.is_ok pt.P.sp_outcome) cv.P.curve_points)
+      curves
+  | _ -> true
+
 (* Run one analysis op under full supervision (breaker check, worker
    fault point, session eviction + breaker charge on raise) and return a
    typed outcome as an already-encoded result object.  Shared by the
    single-op job and each batch item, so a batch exercises exactly the
    same failure machinery per item.
-
-   Analysis results go through the reply cache: the checks (deadline,
-   breaker, worker fault point) run before the lookup, so an expired or
-   breaker-blocked request is refused even when the answer is cached,
-   and armed faults keep firing per item.  Only successful results are
-   stored — a raising builder leaves the key absent.
 
    The second component of the return value says whether the result may
    be memoized one level up (the frame cache): true everywhere except a
@@ -657,17 +606,11 @@ let exec_op t ~deadline (op : P.op) :
       match
         check_deadline deadline;
         Fault.trip fp_worker;
-        Cache.find_or_add t.reply_cache (P.encode_op op) (fun () ->
-            P.encode_result (analyze t ~deadline op))
+        analyze t ~deadline op
       with
-      | encoded ->
+      | body ->
         Option.iter (fun k -> Breaker.success t.breaker k) skey;
-        (Ok encoded, true)
-      | exception Partial_sweep body ->
-        (* a degraded-but-valid answer: success to the client and the
-           breaker, invisible to the reply and frame memos *)
-        Option.iter (fun k -> Breaker.success t.breaker k) skey;
-        (Ok (P.encode_result body), false)
+        (Ok (P.encode_result body), memoizable body)
       | exception Bad msg -> (Error (P.Bad_request, msg), true)
       | exception Deadline ->
         (Error (P.Deadline_exceeded, "deadline elapsed"), true)
@@ -706,23 +649,16 @@ let span_attrs (op : P.op) =
     [ ("op", "batch"); ("items", string_of_int (List.length ops)) ]
   | P.Status | P.Health | P.Drain | P.Shutdown -> []
 
-exception Frame_miss
-
-(* Probe the frame cache without populating: the raising builder leaves
-   the key absent.  [None] when the frame is not in canonical form or
-   the fast path must step aside (armed faults change per-item outcomes;
-   a draining server must answer [Shutting_down]). *)
-let frame_fast_path t (line : string) : (int * string * string option) option =
+(* The request id and frame-memo key (the frame text after the id), or
+   [None] when the frame is not in canonical form or the memo must step
+   aside (armed faults change per-item outcomes; a draining server must
+   answer [Shutting_down]). *)
+let frame_key t (line : string) : (int * string) option =
   match P.split_frame_id line with
-  | None -> None
-  | Some (id, pos) ->
-    if Fault.enabled () || Atomic.get t.shutdown_requested then None
-    else begin
-      let key = String.sub line pos (String.length line - pos) in
-      match Cache.find_or_add t.frame_cache key (fun () -> raise Frame_miss) with
-      | frag -> Some (id, key, Some frag)
-      | exception Frame_miss -> Some (id, key, None)
-    end
+  | Some (id, pos)
+    when not (Fault.enabled () || Atomic.get t.shutdown_requested) ->
+    Some (id, String.sub line pos (String.length line - pos))
+  | _ -> None
 
 let handle_decoded t (c : Acceptor.conn) ~seq ~fkey (line : string) =
   let decoded =
@@ -768,8 +704,7 @@ let handle_decoded t (c : Acceptor.conn) ~seq ~fkey (line : string) =
        let memo_frame frag =
          match fkey with
          | None -> ()
-         | Some key ->
-           ignore (Cache.find_or_add t.frame_cache key (fun () -> frag))
+         | Some key -> Cache.add t.frame_cache key frag
        in
        let analysis_only ops =
          List.for_all
@@ -816,12 +751,13 @@ let handle_line t (c : Acceptor.conn) ~seq (line : string) =
   then Unix._exit 70;
   Atomic.incr t.requests;
   Telemetry.incr c_requests;
-  match frame_fast_path t line with
-  | Some (id, _, Some frag) ->
-    write_ok_line c ~seq (P.encode_ok_reply ~rep_id:id ~result:frag)
-  | fast ->
-    let fkey = match fast with Some (_, key, None) -> Some key | _ -> None in
-    handle_decoded t c ~seq ~fkey line
+  match frame_key t line with
+  | None -> handle_decoded t c ~seq ~fkey:None line
+  | Some (id, key) -> (
+    match Cache.find_opt t.frame_cache key with
+    | Some frag ->
+      write_ok_line c ~seq (P.encode_ok_reply ~rep_id:id ~result:frag)
+    | None -> handle_decoded t c ~seq ~fkey:(Some key) line)
 
 let conn_loop t (c : Acceptor.conn) =
   let rec loop () =
@@ -871,12 +807,10 @@ let run (opts : opts) : stats =
       started = Unix.gettimeofday ();
       sched = Scheduler.create ~workers:opts.workers ~queue_limit:opts.queue_limit;
       prep_cache = Cache.create ~name:"prep" ~cap:opts.cache_cap;
-      baseline_cache = Cache.create ~name:"baseline" ~cap:opts.cache_cap;
       session_cache = Cache.create ~name:"session" ~cap:opts.cache_cap;
-      (* encoded replies are ~1 KB each, so the cap can be far more
+      (* encoded frames are ~1 KB each, so the cap can be far more
          generous than for sessions *)
-      reply_cache = Cache.create ~name:"replies" ~cap:(32 * opts.cache_cap);
-      frame_cache = Cache.create ~name:"frames" ~cap:(8 * opts.cache_cap);
+      frame_cache = Cache.create ~name:"frames" ~cap:(32 * opts.cache_cap);
       (* bare floats: even a generous cap costs next to nothing *)
       sweep_cache = Cache.create ~name:"sweep" ~cap:(64 * opts.cache_cap);
       requests = Atomic.make 0;

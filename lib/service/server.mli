@@ -9,15 +9,28 @@
     The expensive per-query work of the one-shot CLI —
     interpreting the workload, annotating events, running the baseline
     simulation, compiling the dependence graph, building a memoized cost
-    oracle — is done once per session key and then served from three
-    stacked {!Cache}s:
+    oracle — is done once per session key and then served from four
+    {!Cache}s:
 
     - {b prep}: (workload, warmup, measure) -> prepared execution
       (machine-variant independent, shared by every variant and engine);
-    - {b baseline}: prep key + config digest -> baseline [Ooo.run] result
-      (shared by the graph and profiler engines on the same variant);
-    - {b session}: baseline key + engine + seed -> memoized oracle (and
-      the compiled graph for the graph engine).
+    - {b session}: prep key + config digest + engine + seed -> the
+      established {!Snapshot} session: memoized oracle (whose memo holds
+      every subset it has priced) and, for the graph engine, the
+      compiled graph.  Built through one path with or without a snapshot
+      store; a disk hit seeds the prep cache with the loaded execution;
+    - {b frames}: canonical frame text minus its id -> encoded result
+      fragment of a frame whose items all succeeded, answered inline by
+      the connection reader without decoding or queueing;
+    - {b sweep}: prep key + perturbed-config digest + engine -> one
+      priced sweep point (no session memo holds perturbed configs).
+
+    Beyond LRU eviction and pressure shedding (below), only failures
+    invalidate: a raising analysis evicts its session
+    entry and drops every memoized frame (so a tripped breaker cannot be
+    dodged by a cached frame); the frame memo also steps aside while
+    faults are armed or the server drains, and a sweep with per-point
+    errors is never memoized.
 
     Analysis requests flow through a bounded {!Scheduler}; a full queue
     is answered with an [overloaded] error (backpressure) and a draining
@@ -38,7 +51,7 @@
     {b Graceful degradation.}  Before queueing each analysis the server
     checks two high-water marks — queue depth at 3/4 of [queue_limit],
     and the OCaml heap against [mem_high_mb].  Tripping either sheds the
-    coldest session/baseline cache entries down to half of [cache_cap]
+    coldest session and prep cache entries down to half of [cache_cap]
     and reports [health = "degraded"] for a short hold window.  Shed
     counts surface in [health] replies and the [service.shed] telemetry
     counter.

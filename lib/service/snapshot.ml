@@ -4,7 +4,6 @@ module Telemetry = Icost_util.Telemetry
 module Category = Icost_core.Category
 module Cost = Icost_core.Cost
 module Config = Icost_uarch.Config
-module Ooo = Icost_sim.Ooo
 module Multisim = Icost_sim.Multisim
 module Build = Icost_depgraph.Build
 module Graph = Icost_depgraph.Graph
@@ -182,8 +181,7 @@ let save_quiet ~dir ~key p =
   with Sys_error _ | Unix.Unix_error _ -> ()
 
 let establish ?cache_dir ~key ~(kind : Runner.oracle_kind) ~(cfg : Config.t)
-    ~seed ~(prepare : unit -> Runner.prepared)
-    ~(baseline : Runner.prepared -> Ooo.result) () : established =
+    ~seed ~(prepare : unit -> Runner.prepared) () : established =
   let engine = Runner.oracle_kind_name kind in
   let disk =
     match cache_dir with
@@ -211,9 +209,7 @@ let establish ?cache_dir ~key ~(kind : Runner.oracle_kind) ~(cfg : Config.t)
         memoized (fun () ->
             Some
               (try Graph.unmarshal gs
-               with Failure _ ->
-                 Runner.graph_of ~baseline:(baseline p.prepared) cfg
-                   p.prepared))
+               with Failure _ -> Runner.graph_of cfg p.prepared))
       | _ -> fun () -> None
     in
     let underlying =
@@ -232,7 +228,7 @@ let establish ?cache_dir ~key ~(kind : Runner.oracle_kind) ~(cfg : Config.t)
             Profile.oracle
               (Runner.profiler_run
                  ~opts:{ Sampler.default_opts with seed }
-                 ~baseline:(baseline p.prepared) cfg p.prepared))
+                 cfg p.prepared))
       | Runner.Streamed ->
         (* segmented re-analysis is cheap relative to a cold prepare and
            needs no persistent image; defer it past the seeded memo *)
@@ -258,14 +254,13 @@ let establish ?cache_dir ~key ~(kind : Runner.oracle_kind) ~(cfg : Config.t)
       | Runner.Multisim ->
         (None, Multisim.oracle cfg prepared.Runner.trace prepared.Runner.evts)
       | Runner.Fullgraph ->
-        let g = Runner.graph_of ~baseline:(baseline prepared) cfg prepared in
+        let g = Runner.graph_of cfg prepared in
         (Some g, Build.oracle g)
       | Runner.Profiler ->
         ( None,
           Profile.oracle
-            (Runner.profiler_run
-               ~opts:{ Sampler.default_opts with seed }
-               ~baseline:(baseline prepared) cfg prepared) )
+            (Runner.profiler_run ~opts:{ Sampler.default_opts with seed } cfg
+               prepared) )
       | Runner.Streamed ->
         (None, Stream_core.oracle (Runner.stream_run cfg prepared))
     in

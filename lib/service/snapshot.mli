@@ -94,14 +94,13 @@ val establish :
   cfg:Icost_uarch.Config.t ->
   seed:int ->
   prepare:(unit -> Icost_experiments.Runner.prepared) ->
-  baseline:(Icost_experiments.Runner.prepared -> Icost_sim.Ooo.result) ->
   unit ->
   established
 (** Establish a session for [key].  On a snapshot hit the prepared
     workload, graph and memo table come from disk and the underlying
     engine is rebuilt lazily (mutex-guarded, [Lazy] is not
     thread-safe) only if a query ever misses the seeded memo; [prepare]
-    and [baseline] are not called.  Otherwise the session is built
+    is not called.  Otherwise the session is built
     fresh — exactly the constructors the server used before snapshots
     existed — and, when a cache dir is configured, saved best-effort.
     [seed] only reaches the profiler's sampling PRNG. *)

@@ -4,10 +4,13 @@
     Concurrency design: the enabled flag and every counter cell are
     [Atomic.t]s; span nesting is tracked on a per-domain stack (domain-local
     storage, no locking); completed spans are appended to one mutex-guarded
-    global list (spans are coarse — pipeline stages, oracle queries,
-    reports — so one lock per completed span is noise).  Counter and gauge
-    handles are interned in a mutex-guarded registry, which instrumented
-    modules consult once at initialization time. *)
+    global ring of [span_capacity] records (spans are coarse — pipeline
+    stages, oracle queries, reports — so one lock per completed span is
+    noise).  A full ring overwrites its oldest record and counts it in
+    [telemetry.spans_dropped], so a long-lived traced daemon stays
+    bounded.  Counter and gauge handles are interned in a mutex-guarded
+    registry, which instrumented modules consult once at initialization
+    time. *)
 
 let enabled_flag = Atomic.make false
 
@@ -93,9 +96,18 @@ let stack_key : pending list ref Domain.DLS.key =
 
 let next_id = Atomic.make 1
 
+let span_capacity = 1 lsl 18
+
+let c_spans_dropped = counter "telemetry.spans_dropped"
+
 let completed_mutex = Mutex.create ()
 
-let completed : span_record list ref = ref []
+(* allocated on the first recorded span, so untraced processes pay nothing;
+   [completed_n] counts every span recorded, so the newest sits at
+   [(completed_n - 1) mod span_capacity] *)
+let completed : span_record array ref = ref [||]
+
+let completed_n = ref 0
 
 let start_span name : span =
   if not (Atomic.get enabled_flag) then 0
@@ -120,8 +132,12 @@ let record ?(attrs = []) (p : pending) stop =
     }
   in
   Mutex.lock completed_mutex;
-  completed := r :: !completed;
-  Mutex.unlock completed_mutex
+  if Array.length !completed = 0 then completed := Array.make span_capacity r;
+  !completed.(!completed_n land (span_capacity - 1)) <- r;
+  completed_n := !completed_n + 1;
+  let dropped = !completed_n > span_capacity in
+  Mutex.unlock completed_mutex;
+  if dropped then incr c_spans_dropped
 
 let end_span ?attrs (sp : span) =
   if sp <> 0 then begin
@@ -149,7 +165,8 @@ let with_span ?attrs name f =
 
 let spans () =
   Mutex.lock completed_mutex;
-  let l = !completed in
+  let kept = min !completed_n span_capacity in
+  let l = Array.to_list (Array.sub !completed 0 kept) in
   Mutex.unlock completed_mutex;
   List.stable_sort (fun a b -> compare a.start b.start) l
 
@@ -167,7 +184,8 @@ let gauges () =
 
 let reset () =
   Mutex.lock completed_mutex;
-  completed := [];
+  completed := [||];
+  completed_n := 0;
   Mutex.unlock completed_mutex;
   Mutex.lock registry_mutex;
   Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counter_registry;

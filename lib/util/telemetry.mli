@@ -17,9 +17,11 @@
     ({!counter}, {!gauge}) are interned once at module-initialization time
     of the instrumented module, never in inner loops.
 
-    When enabled, span completion appends to a mutex-guarded global list
-    and counter bumps are single [Atomic.fetch_and_add]s, so the sink is
-    safe with the {!Pool} domain pool active.  Exporters (the span tree,
+    When enabled, span completion appends to a mutex-guarded global ring
+    of {!span_capacity} records (the newest are kept; each overwritten
+    record bumps the [telemetry.spans_dropped] counter) and counter
+    bumps are single [Atomic.fetch_and_add]s, so the sink is safe with
+    the {!Pool} domain pool active.  Exporters (the span tree,
     Chrome trace-event JSON and flat metrics JSON in [Icost_report])
     consume the accumulated data after the measured region.
 
@@ -95,8 +97,12 @@ type span_record = {
   attrs : (string * string) list;
 }
 
+val span_capacity : int
+(** Completed spans retained ([2^18]); older ones are dropped and counted
+    in [telemetry.spans_dropped]. *)
+
 val spans : unit -> span_record list
-(** Completed spans, sorted by start time. *)
+(** The retained completed spans, sorted by start time. *)
 
 val counters : unit -> (string * int) list
 (** All interned counters with their current values, sorted by name. *)

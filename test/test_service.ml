@@ -540,6 +540,45 @@ let test_cache_eviction_and_retry () =
   Alcotest.(check int) "retry after failed build" 7
     (Cache.find_or_add boom "k" (fun () -> 7))
 
+(* The frame memo's probe and insert: [find_opt] counts exactly one hit or
+   miss and inserts nothing; [add] inserts under the cap and counts no
+   lookup, so a miss followed by its insert is one miss, not two. *)
+let test_cache_find_opt_and_add () =
+  let cache : string Cache.t = Cache.create ~name:"test_probe" ~cap:2 in
+  let tally () =
+    let st = Cache.stats cache in
+    (st.Cache.hits, st.Cache.misses)
+  in
+  Alcotest.(check (option string)) "absent key" None (Cache.find_opt cache "a");
+  Alcotest.(check (pair int int)) "probe counts one miss" (0, 1) (tally ());
+  Alcotest.(check int) "probe inserts nothing" 0 (Cache.length cache);
+  Cache.add cache "a" "A";
+  Alcotest.(check (pair int int)) "add counts no lookup" (0, 1) (tally ());
+  Alcotest.(check (option string)) "added value found" (Some "A")
+    (Cache.find_opt cache "a");
+  Alcotest.(check (pair int int)) "probe counts one hit" (1, 1) (tally ());
+  Cache.add cache "a" "A'";
+  Alcotest.(check (option string)) "a resident value is kept" (Some "A")
+    (Cache.find_opt cache "a");
+  Cache.add cache "b" "B";
+  ignore (Cache.find_opt cache "a") (* refresh a: b becomes the LRU entry *);
+  Cache.add cache "c" "C" (* over cap: evicts b *);
+  Alcotest.(check int) "add respects the cap" 2 (Cache.length cache);
+  Alcotest.(check int) "one eviction" 1 (Cache.stats cache).Cache.evictions;
+  Alcotest.(check (option string)) "LRU entry evicted" None
+    (Cache.find_opt cache "b");
+  Alcotest.(check (option string)) "refreshed entry kept" (Some "A")
+    (Cache.find_opt cache "a");
+  (* a failed build leaves nothing for the probe to find, and [add] may
+     then fill the key *)
+  (try ignore (Cache.find_or_add cache "f" (fun () -> failwith "boom"))
+   with Failure _ -> ());
+  Alcotest.(check (option string)) "failed build is a miss" None
+    (Cache.find_opt cache "f");
+  Cache.add cache "f" "F";
+  Alcotest.(check (option string)) "add replaces a failed build" (Some "F")
+    (Cache.find_opt cache "f")
+
 (* ---------- scheduler ---------- *)
 
 let test_scheduler_backpressure () =
@@ -830,24 +869,24 @@ let test_serve_end_to_end () =
         | Ok (P.R_status s) -> s
         | _ -> Alcotest.fail "status reply malformed"
       in
-      (* 4 concurrent requests on one key: the reply cache misses once
-         and its builder misses prep, baseline and session once each —
-         exactly one build chain, so exactly 4 misses.  The 3 other
-         clients either wait on the reply build (counted as hits) or, if
-         they arrive after it finished, are answered by the frame cache
-         without touching the analysis caches at all — so the hit tally
-         is at most 3, depending on arrival timing. *)
+      (* 4 concurrent requests on one key: the session cache misses once
+         and its builder misses prep once — exactly one build chain, so
+         exactly 2 misses.  The 3 other clients either wait on the
+         session build (counted as hits) or, if they arrive after their
+         frame was memoized, are answered by the frame cache without
+         touching the analysis caches at all — so the hit tally is at
+         most 3, depending on arrival timing. *)
       let s = status () in
-      Alcotest.(check int) "single preparation: 4 misses" 4 s.P.cache_misses;
+      Alcotest.(check int) "single preparation: 2 misses" 2 s.P.cache_misses;
       Alcotest.(check bool) "waiters counted as hits" true
         (s.P.cache_hits <= 3);
       Alcotest.(check int) "one session" 1 s.P.sessions;
       Alcotest.(check bool) "not draining" false s.P.draining;
 
-      (* warm repeat: answered from the reply cache, no new misses *)
+      (* warm repeat: answered from the frame cache, no new misses *)
       let warm = Client.call c (req ~id:50 breakdown_op) in
       Alcotest.(check string) "warm repeat identical" (norm first) (norm warm);
-      Alcotest.(check int) "still 4 misses" 4 (status ()).P.cache_misses;
+      Alcotest.(check int) "still 2 misses" 2 (status ()).P.cache_misses;
 
       (* icost over the multisim engine, checked against direct Cost calls *)
       let sets = [ "dl1"; "win"; "dl1,win" ] in
@@ -1204,6 +1243,62 @@ let test_serve_batch () =
        (Printf.sprintf "batch failed: %s %s" (P.error_code_name c) m));
   shutdown_server s srv
 
+(* Answers that miss the frame memo are recomputed from the session memo
+   and must match the first answer byte for byte: an item repeated inside
+   a different batch (a new frame key), and a repeated frame while a
+   harmless fault point is armed (the frame memo steps aside). *)
+let test_serve_repeats_byte_identical () =
+  sigpipe_off ();
+  Fun.protect ~finally:(fun () -> Fault.disable ()) @@ fun () ->
+  let socket = tmp_socket "repeat" in
+  if Sys.file_exists socket then Sys.remove socket;
+  let opts =
+    { Server.default_opts with socket; workers = 2; handle_signals = false }
+  in
+  let srv = start_server opts in
+  let s = Client.connect_session ~retry_for:10.0 ~socket () in
+  let fd = raw_connect socket in
+  let ask r =
+    raw_send fd (P.encode_request r ^ "\n");
+    match raw_read_lines fd 1 with
+    | [ line ] -> line
+    | _ -> Alcotest.fail "no reply line"
+  in
+  let bd = P.Breakdown { target = small_target; focus = "dl1" } in
+  let ic = P.Icost { target = small_target; sets = [ "dl1"; "dl1,win" ] } in
+  let gs = P.Graph_stats { target = small_target } in
+  let single = ask (req ~id:2 bd) in
+  (* the result fragment of the single reply, spliced verbatim into every
+     reply that carries the same answer *)
+  let frag =
+    let key = "\"result\":" in
+    let n = String.length key in
+    let rec find i = if String.sub single i n = key then i + n else find (i + 1) in
+    let start = find 0 in
+    String.sub single start (String.length single - start - 1)
+  in
+  let batch_a = ask (req ~id:1 (P.Batch { ops = [ ic; bd ] })) in
+  let batch_b = ask (req ~id:3 (P.Batch { ops = [ gs; bd ] })) in
+  Alcotest.(check bool) "item bytes in the first batch" true
+    (contains batch_a frag);
+  Alcotest.(check bool) "item bytes in a different batch" true
+    (contains batch_b frag);
+  Alcotest.(check string) "memoized frame repeat" batch_a
+    (ask (req ~id:1 (P.Batch { ops = [ ic; bd ] })));
+  (* armed faults make the frame memo step aside: the repeats below are
+     decoded, queued and analyzed again *)
+  Fault.configure_exn "sched_delay";
+  let injected = Fault.injected_total () in
+  Alcotest.(check string) "batch repeat under armed faults" batch_a
+    (ask (req ~id:1 (P.Batch { ops = [ ic; bd ] })));
+  Alcotest.(check string) "single repeat under armed faults" single
+    (ask (req ~id:2 bd));
+  Alcotest.(check bool) "the fault point fired" true
+    (Fault.injected_total () > injected);
+  Fault.disable ();
+  Unix.close fd;
+  shutdown_server s srv
+
 (* The TCP listener speaks the same protocol as the Unix socket and
    serves bit-identical replies (one process, shared caches). *)
 let test_serve_tcp () =
@@ -1262,13 +1357,14 @@ let test_serve_tcp () =
   let s = Client.connect_session ~retry_for:10.0 ~socket () in
   shutdown_server s srv
 
-(* The baseline build raises (injected) on its first run: supervision must
-   answer a typed internal error, leave no poisoned cache entry, and let
-   the automatic retry rebuild and succeed. *)
+(* The preparation build — nested inside the session build — raises
+   (injected) on its first run: supervision must answer a typed internal
+   error, leave no poisoned cache entry at either layer, and let the
+   automatic retry rebuild and succeed. *)
 let test_serve_crash_during_build () =
   sigpipe_off ();
   Fun.protect ~finally:(fun () -> Fault.disable ()) @@ fun () ->
-  Fault.configure_exn "cache_build.baseline:@1";
+  Fault.configure_exn "cache_build.prep:@1";
   let socket = tmp_socket "crash" in
   if Sys.file_exists socket then Sys.remove socket;
   let opts =
@@ -1373,7 +1469,7 @@ let test_serve_retry_reconnect () =
   shutdown_server s srv
 
 (* Memory high-water mark of zero: every request trips the pressure check,
-   sheds the warm session/baseline entries and reports degraded health —
+   sheds the warm session and prep entries and reports degraded health —
    while answers stay bit-identical. *)
 let test_serve_degradation () =
   sigpipe_off ();
@@ -1574,7 +1670,7 @@ let test_serve_sweep () =
   let st = status () in
   Alcotest.(check int) "6 points evaluated" 6 st.P.sweep_points;
   Alcotest.(check int) "no point cached yet" 0 st.P.sweep_cache_hits;
-  (* exact repeat: the reply cache answers, point tallies unchanged *)
+  (* exact repeat: the frame cache answers, point tallies unchanged *)
   let again = Client.call_with_retry s (req ~id:2 sweep_op) in
   Alcotest.(check string) "repeat identical" (norm first) (norm again);
   Alcotest.(check int) "repeat served without re-evaluating" 6
@@ -1750,6 +1846,8 @@ let suite =
       Alcotest.test_case "protocol: decoder never raises on hostile input"
         `Quick test_decode_fuzz_never_raises;
       Alcotest.test_case "cache: single flight" `Quick test_cache_single_flight;
+      Alcotest.test_case "cache: find_opt and add count once" `Quick
+        test_cache_find_opt_and_add;
       Alcotest.test_case "cache: eviction and failed-build retry" `Quick
         test_cache_eviction_and_retry;
       Alcotest.test_case "scheduler: backpressure and drain" `Quick
@@ -1767,6 +1865,8 @@ let suite =
         `Slow test_serve_pipelining_order;
       Alcotest.test_case "serve: batch mixes per-item success and failure"
         `Slow test_serve_batch;
+      Alcotest.test_case "serve: memo-bypassing repeats byte-identical" `Slow
+        test_serve_repeats_byte_identical;
       Alcotest.test_case "sweep: point keys never alias the prep cache"
         `Quick test_sweep_point_keys;
       Alcotest.test_case "serve: sweep bit-identical to the library" `Slow

@@ -152,10 +152,9 @@ let test_establish_warm_start () =
     incr prepares;
     Lazy.force prepared
   in
-  let baseline p = Runner.baseline_run cfg p in
   let establish () =
     Snapshot.establish ~cache_dir:tmpdir ~key ~kind:Runner.Multisim ~cfg
-      ~seed:0 ~prepare ~baseline ()
+      ~seed:0 ~prepare ()
   in
   (* cold: built fresh, initial snapshot written *)
   let cold = establish () in
@@ -172,7 +171,7 @@ let test_establish_warm_start () =
   (* an engine switch under the same key must rebuild, not limp *)
   let cross =
     Snapshot.establish ~cache_dir:tmpdir ~key ~kind:Runner.Fullgraph ~cfg
-      ~seed:0 ~prepare ~baseline ()
+      ~seed:0 ~prepare ()
   in
   Alcotest.(check bool) "engine mismatch rejected" true
     (cross.Snapshot.est_disk = `Reject);
@@ -186,7 +185,6 @@ let test_persist_only_on_growth () =
     Snapshot.establish ~cache_dir:tmpdir ~key ~kind:Runner.Multisim ~cfg
       ~seed:0
       ~prepare:(fun () -> Lazy.force prepared)
-      ~baseline:(fun p -> Runner.baseline_run cfg p)
       ()
   in
   let est = establish () in

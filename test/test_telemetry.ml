@@ -343,6 +343,26 @@ let test_reset () =
   Alcotest.(check int) "counter zeroed" 0 (Telemetry.value c);
   Alcotest.(check int) "spans dropped" 0 (List.length (Telemetry.spans ()))
 
+(* A long-lived traced process stays bounded: past the ring's capacity
+   the oldest spans give way to the newest, and each one dropped is
+   counted. *)
+let test_span_ring_bounded () =
+  with_clean_sink @@ fun () ->
+  Telemetry.set_clock (ticking_clock ());
+  Telemetry.enable ();
+  Telemetry.reset ();
+  let n = Telemetry.span_capacity + 10 in
+  for i = 1 to n do
+    Telemetry.with_span (if i <= 10 then "old" else "new") (fun () -> ())
+  done;
+  let spans = Telemetry.spans () in
+  Alcotest.(check int) "ring keeps capacity spans" Telemetry.span_capacity
+    (List.length spans);
+  Alcotest.(check bool) "the oldest were dropped" true
+    (List.for_all (fun (s : Telemetry.span_record) -> s.name = "new") spans);
+  Alcotest.(check int) "drops counted" 10
+    (Telemetry.value (Telemetry.counter "telemetry.spans_dropped"))
+
 let suite =
   ( "telemetry",
     [
@@ -358,4 +378,6 @@ let suite =
       Alcotest.test_case "trace/metrics JSON round-trip + manifest" `Quick
         test_artifacts_roundtrip;
       Alcotest.test_case "reset zeroes the sink" `Quick test_reset;
+      Alcotest.test_case "span ring bounded, drops counted" `Quick
+        test_span_ring_bounded;
     ] )
