@@ -510,7 +510,7 @@ let c_evals = Telemetry.counter "graph.evals"
 let eval_into ?(ideal = Category.Set.empty) (t : t) (time : int array) : unit =
   let n = num_nodes t in
   if Array.length time < n then invalid_arg "Graph.eval_into: buffer too short";
-  (* single branch + atomic add; keeps this path allocation-free *)
+  (* one atomic add; keeps this path allocation-free *)
   Telemetry.incr c_evals;
   let s : int = ideal in
   let c = t.compiled in

@@ -67,8 +67,6 @@ type result = {
 
 let default_knee_frac = 0.05
 
-let c_points = Telemetry.counter "sweep.points"
-let c_cache_hits = Telemetry.counter "sweep.cache_hits"
 let fp_point = Fault.point "sweep_point"
 
 (* First differences along ascending values, over evaluated points only;
@@ -173,12 +171,7 @@ let run ?(knee_frac = default_knee_frac) ?point_cache ~engine ~cfg ~prepared
             | Some f -> Ok (f c (fun () -> eval_point ~engine ~cfg:c ~prepared))
           with e -> Error e
         in
-        Telemetry.incr c_points;
-        (match res with
-        | Ok (_, true) ->
-          Atomic.incr hits;
-          Telemetry.incr c_cache_hits
-        | _ -> ());
+        (match res with Ok (_, true) -> Atomic.incr hits | _ -> ());
         (if Telemetry.enabled () then
            Telemetry.end_span sp
              ~attrs:

@@ -23,7 +23,8 @@
     per-point errors directly.
 
     Telemetry: a [sweep.run] span with one [sweep.point] child per
-    evaluated point, plus [sweep.points] / [sweep.cache_hits] counters.
+    evaluated point.  The daemon adds its sweeps' [sw_points] /
+    [sw_cache_hits] to the [sweep.points] / [sweep.cache_hits] counters.
     Each point evaluation is the [sweep_point] {!Icost_util.Fault}
     injection point. *)
 

@@ -21,7 +21,6 @@ type t = {
   cooldown : float;
   max_keys : int;
   mutable tick : int;
-  mutable trips : int;
 }
 
 let create ?(threshold = 3) ?(cooldown = 5.) () =
@@ -32,7 +31,6 @@ let create ?(threshold = 3) ?(cooldown = 5.) () =
     cooldown = Float.max 0. cooldown;
     max_keys = 128;
     tick = 0;
-    trips = 0;
   }
 
 let touch t e =
@@ -81,10 +79,7 @@ let failure t key =
   touch t e;
   e.fails <- e.fails + 1;
   let tripped = e.fails >= t.threshold in
-  if tripped then begin
-    e.opened_until <- Unix.gettimeofday () +. t.cooldown;
-    t.trips <- t.trips + 1
-  end;
+  if tripped then e.opened_until <- Unix.gettimeofday () +. t.cooldown;
   Mutex.unlock t.mutex;
   if tripped then Telemetry.incr c_trips
 
@@ -96,11 +91,5 @@ let open_count t =
       (fun _ e acc -> if now < e.opened_until then acc + 1 else acc)
       t.tbl 0
   in
-  Mutex.unlock t.mutex;
-  n
-
-let trips_total t =
-  Mutex.lock t.mutex;
-  let n = t.trips in
   Mutex.unlock t.mutex;
   n

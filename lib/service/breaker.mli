@@ -16,8 +16,7 @@
     more than a small cap of keys are tracked, the stalest entry is
     dropped (a dropped entry merely forgets failure history).
 
-    Trips are mirrored into the [service.breaker_open] telemetry
-    counter and a plain tally for the [health] reply. *)
+    Trips are counted in the [service.breaker_open] telemetry counter. *)
 
 type t
 
@@ -40,5 +39,3 @@ val failure : t -> string -> unit
 val open_count : t -> int
 (** Keys currently open (cooldown not yet elapsed). *)
 
-val trips_total : t -> int
-(** Times any key transitioned to open since [create]. *)

@@ -1,6 +1,6 @@
 (* Single-flight LRU cache.  See cache.mli for the contract.
 
-   One mutex guards the table, the LRU stamps and the tallies; builders
+   One mutex guards the table and the LRU stamps; builders
    run outside it with the entry parked in the [Pending] state so other
    threads on the same key block on the condition variable instead of
    duplicating work.  [cap] is small (a handful of analysis sessions), so
@@ -21,15 +21,12 @@ type 'v t = {
   cap : int;
   fp_build : Fault.point;  (* "cache_build.<name>": builder raises *)
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
   c_hits : Telemetry.counter;
   c_misses : Telemetry.counter;
   c_evictions : Telemetry.counter;
 }
 
-type stats = { hits : int; misses : int; evictions : int; entries : int }
+type stats = { hits : int; misses : int; evictions : int }
 
 let create ~name ~cap =
   {
@@ -39,9 +36,6 @@ let create ~name ~cap =
     cap = max 1 cap;
     fp_build = Fault.point ("cache_build." ^ name);
     tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
     c_hits = Telemetry.counter (Printf.sprintf "service.cache.%s.hits" name);
     c_misses = Telemetry.counter (Printf.sprintf "service.cache.%s.misses" name);
     c_evictions =
@@ -75,7 +69,6 @@ let evict_down_to t limit =
     | Some (k, _) ->
       Hashtbl.remove t.tbl k;
       incr shed;
-      t.evictions <- t.evictions + 1;
       Telemetry.incr t.c_evictions
   done;
   !shed
@@ -87,7 +80,6 @@ let rec find_or_add (t : 'v t) (key : string) (build : unit -> 'v) : 'v =
   match Hashtbl.find_opt t.tbl key with
   | Some ({ state = Ready v; _ } as e) ->
     touch t e;
-    t.hits <- t.hits + 1;
     Mutex.unlock t.mutex;
     Telemetry.incr t.c_hits;
     v
@@ -103,7 +95,6 @@ let rec find_or_add (t : 'v t) (key : string) (build : unit -> 'v) : 'v =
     Mutex.unlock t.mutex;
     find_or_add t key build
   | None ->
-    t.misses <- t.misses + 1;
     let entry = { state = Pending; stamp = 0 } in
     touch t entry;
     Hashtbl.replace t.tbl key entry;
@@ -134,11 +125,8 @@ let find_opt t key =
     match Hashtbl.find_opt t.tbl key with
     | Some ({ state = Ready v; _ } as e) ->
       touch t e;
-      t.hits <- t.hits + 1;
       Some v
-    | Some { state = Pending | Failed _; _ } | None ->
-      t.misses <- t.misses + 1;
-      None
+    | Some { state = Pending | Failed _; _ } | None -> None
   in
   Mutex.unlock t.mutex;
   Telemetry.incr (if Option.is_some found then t.c_hits else t.c_misses);
@@ -174,13 +162,12 @@ let trim t ~keep =
   Mutex.unlock t.mutex;
   shed
 
-let stats t =
+let length t =
   Mutex.lock t.mutex;
-  let s =
-    { hits = t.hits; misses = t.misses; evictions = t.evictions;
-      entries = ready_count t }
-  in
+  let n = ready_count t in
   Mutex.unlock t.mutex;
-  s
+  n
 
-let length t = (stats t).entries
+let stats ?(since = []) t =
+  let v = Telemetry.since since in
+  { hits = v t.c_hits; misses = v t.c_misses; evictions = v t.c_evictions }

@@ -15,10 +15,10 @@
       past the cap evicts the least-recently-used ready entry (in-flight
       entries are never evicted).
 
-    Every cache mirrors its hit/miss/eviction counts into
-    {!Icost_util.Telemetry} counters ([service.cache.<name>.hits] etc.,
-    live only while the sink is enabled) {e and} keeps plain internal
-    tallies that feed the [status] reply unconditionally. *)
+    Every cache counts its hits, misses and evictions in
+    {!Icost_util.Telemetry} counters ([service.cache.<name>.hits] etc.),
+    which always record; {!stats} reads them back.  Caches that share a
+    name share the counters. *)
 
 type 'v t
 
@@ -51,11 +51,13 @@ val remove : 'v t -> string -> bool
 val trim : 'v t -> keep:int -> int
 (** Evict coldest-first until at most [keep] ready entries remain (the
     graceful-degradation shedding path); returns the count shed, which
-    is also added to the eviction tallies. *)
+    is also added to the eviction counter. *)
 
 val length : 'v t -> int
 (** Ready entries currently held. *)
 
-type stats = { hits : int; misses : int; evictions : int; entries : int }
+type stats = { hits : int; misses : int; evictions : int }
 
-val stats : 'v t -> stats
+val stats : ?since:(string * int) list -> 'v t -> stats
+(** The counters' growth since the {!Icost_util.Telemetry.counters}
+    snapshot [since] (default: process start). *)

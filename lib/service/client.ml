@@ -20,10 +20,6 @@ let () =
 
 let c_retries = Telemetry.counter "service.retries"
 
-let retries_tally = Atomic.make 0
-
-let retries_total () = Atomic.get retries_tally
-
 (* ---------- bare connection ---------- *)
 
 let connect_error addr err =
@@ -174,7 +170,6 @@ let drop_conn s =
 
 let count_retry s =
   s.retried <- s.retried + 1;
-  Atomic.incr retries_tally;
   Telemetry.incr c_retries
 
 (* Decorrelated jitter (AWS architecture-blog variant): each sleep is

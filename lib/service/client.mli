@@ -104,8 +104,6 @@ val call_with_retry : session -> Protocol.request -> Protocol.reply
 val close_session : session -> unit
 
 val session_retries : session -> int
-(** Re-sends performed by this session so far. *)
-
-val retries_total : unit -> int
-(** Process-wide re-send tally (all sessions), mirrored into the
-    [service.retries] telemetry counter; feeds the run manifest. *)
+(** Re-sends performed by this session so far.  Every session's re-sends
+    are also counted process-wide in the [service.retries] telemetry
+    counter, which feeds the run manifest. *)

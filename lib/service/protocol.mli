@@ -102,6 +102,9 @@ type icost_row = {
   set_class : string;  (** independent | parallel | serial *)
 }
 
+(** Every count in a [status] or [health] body is a telemetry registry
+    counter, counted since the server or router started, metrics sink
+    enabled or not; the other fields are current state. *)
 type status_body = {
   uptime_s : float;
   requests_total : int;
@@ -116,7 +119,7 @@ type status_body = {
   snapshot_hits : int;  (** persistent graph-snapshot store; all 0 without --cache-dir *)
   snapshot_misses : int;
   snapshot_rejects : int;
-  sweep_points : int;  (** sweep grid points evaluated or served since start *)
+  sweep_points : int;  (** sweep grid points attempted since start *)
   sweep_cache_hits : int;  (** of which the sweep-point cache already held *)
   segments : int;
       (** streaming segments analyzed since start (stream-engine

@@ -30,6 +30,7 @@ let default_opts =
 
 type stats = { uptime_s : float; requests_total : int }
 
+let c_requests = Telemetry.counter "service.requests"
 let c_respawns = Telemetry.counter "service.respawns"
 let c_failovers = Telemetry.counter "service.failovers"
 
@@ -65,7 +66,9 @@ type t = {
   opts : opts;
   shards : int;
   started : float;
-  requests : int Atomic.t;
+  base : (string * int) list;
+      (* the telemetry counters when [run] started: status and the run
+         stats report growth since then (see [Telemetry.since]) *)
   draining : bool Atomic.t;
   acc : Acceptor.t;
   routes : int Cache.t;
@@ -79,9 +82,6 @@ type t = {
   drain_flag : bool Atomic.t array;  (* rolling restart is cycling this shard *)
   cmd_w : Unix.file_descr;  (* commands to the supervisor *)
   drain_lock : Mutex.t;  (* serializes rolling restarts *)
-  respawns : int Atomic.t;
-  failovers : int Atomic.t;
-  respawn_max_ms : int Atomic.t;
   sup_gone : bool Atomic.t;
       (* the supervisor died without the [Stopped] handshake: no more
          respawns will ever happen, and the shards it owned are orphans
@@ -138,10 +138,6 @@ let await_shard t sh ~deadline =
       end
   in
   go ()
-
-let count_failover t =
-  Atomic.incr t.failovers;
-  Telemetry.incr c_failovers
 
 (* ---------- per-connection shard links ----------
 
@@ -219,9 +215,10 @@ let agg_status t links : P.status_body =
   let worst =
     List.exists (fun (s : P.status_body) -> s.P.health <> "ok") reachable
   in
+  let since = Telemetry.since t.base in
   {
     P.uptime_s = Unix.gettimeofday () -. t.started;
-    requests_total = Atomic.get t.requests;
+    requests_total = since c_requests;
     inflight = sum (fun s -> s.P.inflight);
     queue_depth = sum (fun s -> s.P.queue_depth);
     sessions = sum (fun s -> s.P.sessions);
@@ -240,8 +237,8 @@ let agg_status t links : P.status_body =
         0. reachable;
     pool_jobs = sum (fun s -> s.P.pool_jobs);
     shards = t.shards;
-    respawns = Atomic.get t.respawns;
-    failovers = Atomic.get t.failovers;
+    respawns = since c_respawns;
+    failovers = since c_failovers;
     health = health_of t ~unreachable ~worst;
     draining = Atomic.get t.draining;
   }
@@ -329,7 +326,7 @@ let forward_to t links c ~seq ~id ~sh line =
         sleep_s 0.02;
         attempt ~failing_over:true
       | Ok reply_line ->
-        if failing_over then count_failover t;
+        if failing_over then Telemetry.incr c_failovers;
         Acceptor.write_line c ~seq (reply_line ^ "\n")
       | Error msg ->
         if
@@ -435,7 +432,7 @@ let handle_batch t links ~deadline_ms ~id (ops : P.op list) : P.result_body =
       match with_shard t links sh (fun sc -> Client.call sc (sub_of items)) with
       | Ok { P.body = Ok (P.R_batch { results }); _ }
         when List.length results = List.length items ->
-        count_failover t;
+        Telemetry.incr c_failovers;
         List.iter2 (fun (idx, _) r -> slots.(idx) <- r) items results
       | Ok { P.body = Error (code, msg); _ } -> fill (code, msg)
       | Ok _ -> fill (P.Internal, Printf.sprintf "shard %d: malformed batch reply" sh)
@@ -601,7 +598,7 @@ let handle_decoded t links c ~seq line =
       forward_single t links c ~seq ~id ~line op)
 
 let handle_line t links c ~seq line =
-  Atomic.incr t.requests;
+  Telemetry.incr c_requests;
   (* draining must answer analysis frames with [Shutting_down], so the
      relay fast path only runs while accepting work *)
   if Atomic.get t.draining then handle_decoded t links c ~seq line
@@ -691,6 +688,8 @@ let take_line buf =
 
 let run (opts : opts) : stats =
   if opts.shards < 1 then invalid_arg "Router.run: shards must be >= 1";
+  (* before the startup events below, which may count respawns *)
+  let base = Telemetry.counters () in
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* Fork the supervisor before any listener or thread exists in this
      process — fork and threads do not mix, and every later fork (the
@@ -714,29 +713,14 @@ let run (opts : opts) : stats =
   (try Unix.close evt_w with Unix.Unix_error _ -> ());
   let sstate = Array.init opts.shards (fun _ -> Atomic.make Sh_down) in
   let up_count = Array.init opts.shards (fun _ -> Atomic.make 0) in
-  let respawns = Atomic.make 0 in
-  let failovers = Atomic.make 0 in
-  let respawn_max_ms = Atomic.make 0 in
   let sup_stopped = Atomic.make false in
   let sup_gone = Atomic.make false in
   let apply_event = function
     | Supervise.Stopped -> Atomic.set sup_stopped true
-    | Supervise.Up { shard; latency_ms; _ } when shard >= 0 && shard < opts.shards
-      ->
-      let seen = Atomic.fetch_and_add up_count.(shard) 1 in
-      if seen > 0 then begin
-        (* not the initial startup: a real respawn *)
-        Atomic.incr respawns;
+    | Supervise.Up { shard; _ } when shard >= 0 && shard < opts.shards ->
+      (* every [Up] after a shard's first is a real respawn *)
+      if Atomic.fetch_and_add up_count.(shard) 1 > 0 then
         Telemetry.incr c_respawns;
-        let rec bump () =
-          let cur = Atomic.get respawn_max_ms in
-          if
-            latency_ms > cur
-            && not (Atomic.compare_and_set respawn_max_ms cur latency_ms)
-          then bump ()
-        in
-        bump ()
-      end;
       Atomic.set sstate.(shard) Sh_up
     | Supervise.Down { shard; _ } when shard >= 0 && shard < opts.shards ->
       Atomic.set sstate.(shard) Sh_down
@@ -820,7 +804,7 @@ let run (opts : opts) : stats =
       opts;
       shards = opts.shards;
       started = Unix.gettimeofday ();
-      requests = Atomic.make 0;
+      base;
       draining = Atomic.make false;
       acc = Acceptor.create listeners;
       routes = Cache.create ~name:"routes" ~cap:256;
@@ -829,9 +813,6 @@ let run (opts : opts) : stats =
       drain_flag = Array.init opts.shards (fun _ -> Atomic.make false);
       cmd_w;
       drain_lock = Mutex.create ();
-      respawns;
-      failovers;
-      respawn_max_ms;
       sup_gone;
     }
   in
@@ -905,4 +886,4 @@ let run (opts : opts) : stats =
   (try Unix.close cmd_w with Unix.Unix_error _ -> ());
   (try Unix.close evt_r with Unix.Unix_error _ -> ());
   { uptime_s = Unix.gettimeofday () -. t.started;
-    requests_total = Atomic.get t.requests }
+    requests_total = Telemetry.since t.base c_requests }

@@ -74,6 +74,9 @@ type session = {
 type t = {
   opts : opts;
   started : float;
+  base : (string * int) list;
+      (* the telemetry counters at [started]: status, health and the run
+         stats report growth since then (see [Telemetry.since]) *)
   sched : Scheduler.t;
   prep_cache : Runner.prepared Cache.t;
   session_cache : session Cache.t;
@@ -95,19 +98,9 @@ type t = {
          faults are armed or the server is draining, and purged whenever
          supervision charges a failure, so breaker/fault semantics are
          identical to the uncached path. *)
-  requests : int Atomic.t;
   shutdown_requested : bool Atomic.t;
   breaker : Breaker.t;
   degraded_until : float Atomic.t;  (* monotonic-ish; 0. means healthy *)
-  shed_tally : int Atomic.t;  (* cache entries shed under pressure *)
-  (* snapshot-store outcomes; server-local because the Telemetry
-     counters are no-ops unless a sink is enabled *)
-  snap_hits : int Atomic.t;
-  snap_misses : int Atomic.t;
-  snap_rejects : int Atomic.t;
-  (* sweep tallies for the status op, same rationale *)
-  sweep_points : int Atomic.t;
-  sweep_hits : int Atomic.t;
   acc : Acceptor.t;  (* accept loop + connection bookkeeping + ordered writes *)
 }
 
@@ -115,6 +108,15 @@ let c_requests = Telemetry.counter "service.requests"
 let c_ok = Telemetry.counter "service.replies_ok"
 let c_err = Telemetry.counter "service.replies_error"
 let c_shed = Telemetry.counter "service.shed"
+
+let c_sweep_points = Telemetry.counter "sweep.points"
+let c_sweep_hits = Telemetry.counter "sweep.cache_hits"
+
+(* counted where the work happens; interned here by name for [status] *)
+let c_snap_hits = Telemetry.counter "graph.snapshot_hits"
+let c_snap_misses = Telemetry.counter "graph.snapshot_misses"
+let c_snap_rejects = Telemetry.counter "graph.snapshot_rejects"
+let c_segments = Telemetry.counter "stream.segments"
 
 (* injection points threaded through every seam of the request path; each
    is a no-op single branch unless armed via ICOST_FAULTS / --faults (the
@@ -244,13 +246,8 @@ let session_of t (tg : P.target) : session =
           ~prepare:(fun () -> prepared_of t tg)
           ()
       in
-      (match est.Snapshot.est_disk with
-       | `Hit ->
-         Atomic.incr t.snap_hits;
-         Cache.add t.prep_cache (prep_key tg) est.Snapshot.est_prepared
-       | `Miss -> Atomic.incr t.snap_misses
-       | `Reject -> Atomic.incr t.snap_rejects
-       | `Off -> ());
+      if est.Snapshot.est_disk = `Hit then
+        Cache.add t.prep_cache (prep_key tg) est.Snapshot.est_prepared;
       { est; skey; gstats = Atomic.make None })
 
 (* Re-save the session's snapshot when an analysis grew its memo table,
@@ -433,8 +430,8 @@ let analyze t ~deadline (op : P.op) : P.result_body =
       (v, not !fresh)
     in
     let res = Sweep.run ~point_cache ~engine ~cfg ~prepared ~axes () in
-    ignore (Atomic.fetch_and_add t.sweep_points res.Sweep.sw_points);
-    ignore (Atomic.fetch_and_add t.sweep_hits res.Sweep.sw_cache_hits);
+    Telemetry.add c_sweep_points res.Sweep.sw_points;
+    Telemetry.add c_sweep_hits res.Sweep.sw_cache_hits;
     sweep_body res
   | P.Batch _ | P.Status | P.Health | P.Drain | P.Shutdown ->
     assert false (* batch items are dispatched individually; the rest are
@@ -461,16 +458,11 @@ let check_pressure t =
   then begin
     Atomic.set t.degraded_until (Unix.gettimeofday () +. 2.0);
     let keep = t.opts.cache_cap / 2 in
-    let shed =
-      Cache.trim t.session_cache ~keep
+    Telemetry.add c_shed
+      (Cache.trim t.session_cache ~keep
       + Cache.trim t.prep_cache ~keep
       + Cache.trim t.frame_cache ~keep:(16 * t.opts.cache_cap)
-      + Cache.trim t.sweep_cache ~keep:(32 * t.opts.cache_cap)
-    in
-    if shed > 0 then begin
-      ignore (Atomic.fetch_and_add t.shed_tally shed);
-      Telemetry.add c_shed shed
-    end
+      + Cache.trim t.sweep_cache ~keep:(32 * t.opts.cache_cap))
   end
 
 (* The circuit-breaker key is the session cache key: failures are tracked
@@ -491,26 +483,27 @@ let breaker_key_of (op : P.op) : string option =
   | P.Batch _ | P.Status | P.Health | P.Drain | P.Shutdown -> None
 
 let status_body t : P.status_body =
+  let since = Telemetry.since t.base in
   let sum_caches f =
-    f (Cache.stats t.prep_cache)
-    + f (Cache.stats t.session_cache)
-    + f (Cache.stats t.sweep_cache)
+    f (Cache.stats ~since:t.base t.prep_cache)
+    + f (Cache.stats ~since:t.base t.session_cache)
+    + f (Cache.stats ~since:t.base t.sweep_cache)
   in
   {
     P.uptime_s = Unix.gettimeofday () -. t.started;
-    requests_total = Atomic.get t.requests;
+    requests_total = since c_requests;
     inflight = Scheduler.inflight t.sched;
     queue_depth = Scheduler.queue_depth t.sched;
     sessions = Cache.length t.session_cache;
     cache_hits = sum_caches (fun (s : Cache.stats) -> s.hits);
     cache_misses = sum_caches (fun (s : Cache.stats) -> s.misses);
     cache_evictions = sum_caches (fun (s : Cache.stats) -> s.evictions);
-    snapshot_hits = Atomic.get t.snap_hits;
-    snapshot_misses = Atomic.get t.snap_misses;
-    snapshot_rejects = Atomic.get t.snap_rejects;
-    sweep_points = Atomic.get t.sweep_points;
-    sweep_cache_hits = Atomic.get t.sweep_hits;
-    segments = Stream_core.segments_total ();
+    snapshot_hits = since c_snap_hits;
+    snapshot_misses = since c_snap_misses;
+    snapshot_rejects = since c_snap_rejects;
+    sweep_points = since c_sweep_points;
+    sweep_cache_hits = since c_sweep_hits;
+    segments = since c_segments;
     stream_peak_mb = Stream_core.peak_mb_hwm ();
     pool_jobs = Pool.jobs ();
     shards = 0;
@@ -524,7 +517,7 @@ let health_body t : P.health_body =
   {
     P.h_health = health_of t;
     h_breakers_open = Breaker.open_count t.breaker;
-    h_shed = Atomic.get t.shed_tally;
+    h_shed = Telemetry.since t.base c_shed;
   }
 
 (* ---------- wire I/O ---------- *)
@@ -749,7 +742,6 @@ let handle_decoded t (c : Acceptor.conn) ~seq ~fkey (line : string) =
 let handle_line t (c : Acceptor.conn) ~seq (line : string) =
   if Fault.enabled () && (not (control_frame line)) && Fault.fire fp_shard_exit
   then Unix._exit 70;
-  Atomic.incr t.requests;
   Telemetry.incr c_requests;
   match frame_key t line with
   | None -> handle_decoded t c ~seq ~fkey:None line
@@ -805,6 +797,7 @@ let run (opts : opts) : stats =
     {
       opts;
       started = Unix.gettimeofday ();
+      base = Telemetry.counters ();
       sched = Scheduler.create ~workers:opts.workers ~queue_limit:opts.queue_limit;
       prep_cache = Cache.create ~name:"prep" ~cap:opts.cache_cap;
       session_cache = Cache.create ~name:"session" ~cap:opts.cache_cap;
@@ -813,18 +806,11 @@ let run (opts : opts) : stats =
       frame_cache = Cache.create ~name:"frames" ~cap:(32 * opts.cache_cap);
       (* bare floats: even a generous cap costs next to nothing *)
       sweep_cache = Cache.create ~name:"sweep" ~cap:(64 * opts.cache_cap);
-      requests = Atomic.make 0;
       shutdown_requested = Atomic.make false;
       breaker =
         Breaker.create ~threshold:opts.breaker_threshold
           ~cooldown:opts.breaker_cooldown ();
       degraded_until = Atomic.make 0.;
-      shed_tally = Atomic.make 0;
-      snap_hits = Atomic.make 0;
-      snap_misses = Atomic.make 0;
-      snap_rejects = Atomic.make 0;
-      sweep_points = Atomic.make 0;
-      sweep_hits = Atomic.make 0;
       acc = Acceptor.create listeners;
     }
   in
@@ -839,4 +825,4 @@ let run (opts : opts) : stats =
   Scheduler.drain t.sched;
   Acceptor.finish t.acc;
   { uptime_s = Unix.gettimeofday () -. t.started;
-    requests_total = Atomic.get t.requests }
+    requests_total = Telemetry.since t.base c_requests }

@@ -118,7 +118,9 @@ val session_key :
     address the same {!Snapshot} store as a running daemon. *)
 
 type stats = { uptime_s : float; requests_total : int }
-(** Returned by {!run} for the exit report and the telemetry manifest. *)
+(** Returned by {!run} for the exit report and the telemetry manifest.
+    [requests_total] is the [service.requests] counter's growth since
+    [run] started, as every count in [status] and [health] is. *)
 
 val run : opts -> stats
 (** Serve until shutdown.  Blocks the calling thread; everything else

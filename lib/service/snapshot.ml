@@ -73,10 +73,7 @@ exception Bad_snapshot of string
 
 let load ~dir ~key : [ `Hit of payload | `Miss | `Reject of string ] =
   let file = file_of ~dir ~key in
-  if not (Sys.file_exists file) then begin
-    Telemetry.incr c_misses;
-    `Miss
-  end
+  if not (Sys.file_exists file) then `Miss
   else begin
     let result =
       try
@@ -120,9 +117,7 @@ let load ~dir ~key : [ `Hit of payload | `Miss | `Reject of string ] =
       | Sys_error _ | End_of_file -> `Reject "unreadable file"
     in
     (match result with
-     | `Hit _ -> Telemetry.incr c_hits
      | `Reject _ ->
-       Telemetry.incr c_rejects;
        (* quarantine: move the corrupt file aside so the next load is a
           plain miss that rebuilds and overwrites, instead of re-reading
           and re-rejecting the same bytes on every restart.  The rename
@@ -134,7 +129,7 @@ let load ~dir ~key : [ `Hit of payload | `Miss | `Reject of string ] =
           Sys.rename file (file ^ ".quarantined");
           Telemetry.incr c_quarantined
         with Sys_error _ -> ())
-     | `Miss -> ());
+     | `Hit _ | `Miss -> ());
     result
   end
 
@@ -197,6 +192,13 @@ let establish ?cache_dir ~key ~(kind : Runner.oracle_kind) ~(cfg : Config.t)
       | `Hit _ -> `Reject "engine mismatch"
       | (`Miss | `Reject _) as r -> r)
   in
+  (* counted here, from the final outcome: a file [load] read cleanly
+     may still be rejected above *)
+  (match disk with
+   | `Hit _ -> Telemetry.incr c_hits
+   | `Miss -> Telemetry.incr c_misses
+   | `Reject _ -> Telemetry.incr c_rejects
+   | `Off -> ());
   match disk with
   | `Hit p ->
     let graph =

@@ -31,11 +31,10 @@
     overwrites — a crash-corrupted snapshot costs one rejection ever,
     not one per restart.
 
-    Loads and saves tick the [graph.snapshot_hits] /
-    [graph.snapshot_misses] / [graph.snapshot_rejects] /
-    [graph.snapshot_quarantined] telemetry counters (live while the sink
-    is enabled); the server additionally tallies them into its [status]
-    reply. *)
+    {!establish} counts each store outcome once, after its own checks, in
+    the [graph.snapshot_hits] / [graph.snapshot_misses] /
+    [graph.snapshot_rejects] telemetry counters; {!load} counts
+    quarantined files in [graph.snapshot_quarantined]. *)
 
 type payload = {
   engine : string;  (** {!Icost_experiments.Runner.oracle_kind_name} *)

@@ -407,8 +407,8 @@ let c_instrs = Telemetry.counter "sim.instructions"
 
 (* Time every instruction of [trace] through a fresh stepper, handing each
    slot to [emit]; returns the stepper for its final cycle count.  Each
-   run is one telemetry span ([sim.run]) and bumps the instructions-
-   simulated counter; both are single-branch no-ops when the sink is
+   run bumps the run and instructions-simulated counters and is one
+   telemetry span ([sim.run]), a single-branch no-op when the sink is
    disabled. *)
 let fold_steps cfg (trace : Trace.t) (evts : Events.evt array) emit =
   let n = Trace.length trace in
@@ -417,16 +417,15 @@ let fold_steps cfg (trace : Trace.t) (evts : Events.evt array) emit =
   for i = 0 to n - 1 do
     emit i (Stream.step sim (Trace.get trace i) evts.(i))
   done;
-  if Telemetry.enabled () then begin
-    Telemetry.incr c_runs;
-    Telemetry.add c_instrs n;
+  Telemetry.incr c_runs;
+  Telemetry.add c_instrs n;
+  if Telemetry.enabled () then
     Telemetry.end_span sp
       ~attrs:
         [
           ("instrs", string_of_int n);
           ("cycles", string_of_int (Stream.cycles sim));
         ]
-  end
   else Telemetry.end_span sp;
   sim
 

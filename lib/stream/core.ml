@@ -71,16 +71,13 @@ let fault_segment = Fault.point "stream_segment"
 let c_segments = Telemetry.counter "stream.segments"
 let c_instrs = Telemetry.counter "stream.instructions"
 
-(* Process-wide tallies, independent of the telemetry sink: the service
-   layer reports these in its status body. *)
-let g_segments = Atomic.make 0
+(* Process-wide heap high-water mark for the service's status body.  A
+   maximum, so it cannot be a last-write-wins telemetry gauge. *)
 let g_peak_words = Atomic.make 0
 
 let rec bump_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then bump_max a v
-
-let segments_total () = Atomic.get g_segments
 
 let peak_mb_hwm () =
   float_of_int (Atomic.get g_peak_words * (Sys.word_size / 8))
@@ -398,7 +395,6 @@ let analyze ?(segment_insns = default_segment_insns) (cfg : Config.t)
       let cum_cycles = Ooo.Stream.cycles sim in
       let heap_words = (Gc.quick_stat ()).Gc.heap_words in
       if heap_words > !peak_heap then peak_heap := heap_words;
-      Atomic.incr g_segments;
       bump_max g_peak_words heap_words;
       seg_stats :=
         {

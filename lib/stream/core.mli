@@ -55,14 +55,7 @@ val oracle : result -> Cost.oracle
 val peak_mb : result -> float
 (** [peak_heap_words] in megabytes. *)
 
-(** {2 Process-wide tallies}
-
-    Monotone counters over every [analyze] run in this process,
-    independent of the telemetry sink; the service layer surfaces them in
-    its status body ([segments] / [stream_peak_mb]). *)
-
-val segments_total : unit -> int
-(** Segments analyzed since process start. *)
-
 val peak_mb_hwm : unit -> float
-(** High-water mark of [peak_heap_words] across all runs, in MB. *)
+(** High-water mark of [peak_heap_words] across every [analyze] run in
+    this process, in MB; the service reports it as [stream_peak_mb].
+    Segments are counted in the [stream.segments] telemetry counter. *)

@@ -31,10 +31,6 @@ let enabled_flag = Atomic.make false
 
 let enabled () = Atomic.get enabled_flag
 
-let injected_tally = Atomic.make 0
-
-let injected_total () = Atomic.get injected_tally
-
 let c_injected = Telemetry.counter "fault.injected"
 
 type config = { spec : string; seed : int; modes : (string * mode) list }
@@ -217,10 +213,7 @@ let fire p =
        in
        if f then p.fired <- p.fired + 1;
        Mutex.unlock p.lock;
-       if f then begin
-         Atomic.incr injected_tally;
-         Telemetry.incr c_injected
-       end;
+       if f then Telemetry.incr c_injected;
        f
      end
 

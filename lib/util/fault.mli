@@ -8,8 +8,8 @@
     configuration, so a chaos run is reproducible from its spec string
     the same way an analysis is reproducible from its seed.
 
-    {b Zero cost when off.}  Like {!Telemetry}, the framework is
-    disabled by default: {!fire} first reads one atomic flag and
+    {b Zero cost when off.}  Like {!Telemetry}'s spans, the framework
+    is disabled by default: {!fire} first reads one atomic flag and
     returns [false] immediately, so production paths pay a single
     predictable branch and allocate nothing.  Handles ({!point}) are
     interned once at module-initialization time, never in hot loops.
@@ -79,18 +79,14 @@ val name : point -> string
 val fire : point -> bool
 (** Should this point misbehave now?  One atomic load and [false] when
     the framework is disabled; otherwise counts the hit, advances the
-    point's PRNG/schedule, and reports (and tallies) an injection. *)
+    point's PRNG/schedule, and reports an injection, counted in the
+    {!Telemetry} counter [fault.injected]. *)
 
 val trip : point -> unit
 (** [trip p] raises [Injected (name p)] when [fire p] says so — the
     one-liner for "this seam fails by raising". *)
 
 (** {1 Accounting} *)
-
-val injected_total : unit -> int
-(** Process-wide injections so far (plain atomic tally, counted whether
-    or not the {!Telemetry} sink is enabled; the sink's
-    [fault.injected] counter mirrors it while enabled). *)
 
 val hits : point -> int
 (** Times the point was consulted since the last {!configure}. *)

@@ -1,7 +1,7 @@
 (** Process-global tracing/metrics sink.  See telemetry.mli for the
     contract.
 
-    Concurrency design: the enabled flag and every counter cell are
+    Concurrency design: the (span-only) enabled flag and every counter cell are
     [Atomic.t]s; span nesting is tracked on a per-domain stack (domain-local
     storage, no locking); completed spans are appended to one mutex-guarded
     global ring of [span_capacity] records (spans are coarse — pipeline
@@ -51,11 +51,14 @@ let counter name =
   Mutex.unlock registry_mutex;
   c
 
-let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.cell n)
+let add c n = ignore (Atomic.fetch_and_add c.cell n)
 
 let incr c = add c 1
 
 let value c = Atomic.get c.cell
+
+let since base c =
+  Atomic.get c.cell - Option.value ~default:0 (List.assoc_opt c.cname base)
 
 let gauge name =
   Mutex.lock registry_mutex;
@@ -70,7 +73,7 @@ let gauge name =
   Mutex.unlock registry_mutex;
   g
 
-let set g v = if Atomic.get enabled_flag then Atomic.set g.gcell v
+let set g v = Atomic.set g.gcell v
 
 let gauge_value g = Atomic.get g.gcell
 

@@ -10,18 +10,29 @@
       {!Pool.parallel_map});
     - {b gauges}: named last-write-wins floats for point-in-time values.
 
-    The sink is {e disabled by default}: every instrument call first reads
-    one atomic flag and returns immediately when it is off, so the hot
-    paths (graph evaluation, the timing simulator, the pool's task pull
-    loop) pay a single predictable branch and allocate nothing.  Handles
-    ({!counter}, {!gauge}) are interned once at module-initialization time
-    of the instrumented module, never in inner loops.
+    {b Counters and gauges always record}: one [Atomic.fetch_and_add] or
+    [Atomic.set], sink on or off, so the registry is the one copy of
+    every counted fact that [status]/[health], the run manifest, the
+    [icost.metrics.v1] export and the benches read.  {!enable} gates
+    spans only, because spans read the clock and allocate: a disabled
+    [start_span] is one atomic load returning the null token, so the hot
+    paths allocate nothing either way.  (The pool's [*_us] counters are
+    clock readings, so like spans they only grow while enabled.)
+    Handles ({!counter}, {!gauge}) are interned once at
+    module-initialization time, never in inner loops.
 
-    When enabled, span completion appends to a mutex-guarded global ring
-    of {!span_capacity} records (the newest are kept; each overwritten
-    record bumps the [telemetry.spans_dropped] counter) and counter
-    bumps are single [Atomic.fetch_and_add]s, so the sink is safe with
-    the {!Pool} domain pool active.  Exporters (the span tree,
+    Kept outside the registry: [Atomic] state (shutdown flags,
+    degraded-until times, shard states, memoized replies), per-instance
+    counts that drive behaviour (a fault point's hits for its [@K]
+    schedule, a client session's retries, a breaker key's failures),
+    [Icost_stream.Core]'s heap high-water mark (a maximum, which a
+    last-write-wins gauge cannot hold) and per-call results such as a
+    sweep's point counts.
+
+    Span completion appends to a mutex-guarded global ring of
+    {!span_capacity} records (the newest are kept; each overwritten
+    record bumps the [telemetry.spans_dropped] counter), so the sink is
+    safe with the {!Pool} domain pool active.  Exporters (the span tree,
     Chrome trace-event JSON and flat metrics JSON in [Icost_report])
     consume the accumulated data after the measured region.
 
@@ -32,7 +43,7 @@
 (** {1 Sink control} *)
 
 val enabled : unit -> bool
-(** One atomic load; the guard every instrument call starts with. *)
+(** One atomic load; the guard every span call starts with. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -54,11 +65,17 @@ val counter : string -> counter
     counter.  Call at module-initialization time, not in hot loops. *)
 
 val add : counter -> int -> unit
-(** Atomic add, a no-op (one branch) when the sink is disabled. *)
+(** One atomic add, sink enabled or not. *)
 
 val incr : counter -> unit
 
 val value : counter -> int
+
+val since : (string * int) list -> counter -> int
+(** [since base c] is [c]'s growth since [base], a {!counters} snapshot
+    (absent names count from zero): a server reports counts since it
+    started, even in a process that ran or forked it with counts already
+    in the registry. *)
 
 type gauge
 

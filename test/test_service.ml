@@ -30,6 +30,8 @@ let bits = Int64.bits_of_float
 
 let check_feq what a b = Alcotest.(check int64) what (bits a) (bits b)
 
+let fault_injected () = Telemetry.value (Telemetry.counter "fault.injected")
+
 (* Raw writes against a daemon that may close mid-write raise EPIPE
    instead of killing the test binary. *)
 let sigpipe_off () =
@@ -649,6 +651,8 @@ let test_memoize_cap () =
 (* ---------- circuit breaker ---------- *)
 
 let test_breaker () =
+  let trips = Telemetry.counter "service.breaker_open" in
+  let trips0 = Telemetry.value trips in
   let b = Breaker.create ~threshold:2 ~cooldown:0.05 () in
   Alcotest.(check bool) "fresh key closed" true (Breaker.check b "k" = `Ok);
   Breaker.failure b "k";
@@ -671,7 +675,8 @@ let test_breaker () =
   Alcotest.(check bool) "success closes the breaker" true
     (Breaker.check b "k" = `Ok);
   Alcotest.(check int) "no keys open" 0 (Breaker.open_count b);
-  Alcotest.(check bool) "trips were counted" true (Breaker.trips_total b >= 2)
+  Alcotest.(check bool) "trips were counted" true
+    (Telemetry.value trips - trips0 >= 2)
 
 (* ---------- client connect errors ---------- *)
 
@@ -1288,13 +1293,13 @@ let test_serve_repeats_byte_identical () =
   (* armed faults make the frame memo step aside: the repeats below are
      decoded, queued and analyzed again *)
   Fault.configure_exn "sched_delay";
-  let injected = Fault.injected_total () in
+  let injected = fault_injected () in
   Alcotest.(check string) "batch repeat under armed faults" batch_a
     (ask (req ~id:1 (P.Batch { ops = [ ic; bd ] })));
   Alcotest.(check string) "single repeat under armed faults" single
     (ask (req ~id:2 bd));
   Alcotest.(check bool) "the fault point fired" true
-    (Fault.injected_total () > injected);
+    (fault_injected () > injected);
   Fault.disable ();
   Unix.close fd;
   shutdown_server s srv
@@ -1390,7 +1395,7 @@ let test_serve_crash_during_build () =
    | Ok (P.R_breakdown _) -> ()
    | _ -> Alcotest.fail "warm query after recovery failed");
   Alcotest.(check int) "no extra retries" 1 (Client.session_retries s);
-  Alcotest.(check bool) "injection recorded" true (Fault.injected_total () > 0);
+  Alcotest.(check bool) "injection recorded" true (fault_injected () > 0);
   shutdown_server s srv
 
 (* Every worker invocation raises: two internal errors trip the target's
@@ -1465,7 +1470,8 @@ let test_serve_retry_reconnect () =
   Alcotest.(check bool) "at least one retry consumed" true
     (Client.session_retries s >= 1);
   Alcotest.(check bool) "process-wide tally grows" true
-    (Client.retries_total () >= Client.session_retries s);
+    (Telemetry.value (Telemetry.counter "service.retries")
+     >= Client.session_retries s);
   shutdown_server s srv
 
 (* Memory high-water mark of zero: every request trips the pressure check,
@@ -1817,7 +1823,7 @@ let test_serve_chaos () =
            (P.error_code_name c) m)
   done;
   Alcotest.(check bool) "faults actually fired" true
-    (Fault.injected_total () > 0);
+    (fault_injected () > 0);
   Fault.disable ();
   shutdown_server s srv
 

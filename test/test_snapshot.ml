@@ -9,6 +9,7 @@ module Config = Icost_uarch.Config
 module Runner = Icost_experiments.Runner
 module Workload = Icost_workloads.Workload
 module Snapshot = Icost_service.Snapshot
+module Telemetry = Icost_util.Telemetry
 
 let tmpdir =
   let d =
@@ -156,22 +157,37 @@ let test_establish_warm_start () =
     Snapshot.establish ~cache_dir:tmpdir ~key ~kind:Runner.Multisim ~cfg
       ~seed:0 ~prepare ()
   in
+  (* each step counts exactly one store outcome in the registry *)
+  let outcomes =
+    List.map
+      (fun o -> Telemetry.counter ("graph.snapshot_" ^ o))
+      [ "misses"; "hits"; "rejects" ]
+  in
+  let counted what step expect =
+    let before = List.map Telemetry.value outcomes in
+    let r = step () in
+    Alcotest.(check (list int)) (what ^ ": misses, hits, rejects") expect
+      (List.map2 (fun c b -> Telemetry.value c - b) outcomes before);
+    r
+  in
   (* cold: built fresh, initial snapshot written *)
-  let cold = establish () in
+  let cold = counted "cold" establish [ 1; 0; 0 ] in
   Alcotest.(check bool) "cold = miss" true (cold.Snapshot.est_disk = `Miss);
   Alcotest.(check int) "cold prepared once" 1 !prepares;
   let q = Cost.query cold.Snapshot.est_oracle Category.Set.empty in
   Snapshot.persist ~dir:tmpdir ~key cold;
   (* warm: prepared comes from disk, the query replays from the memo *)
-  let warm = establish () in
+  let warm = counted "warm" establish [ 0; 1; 0 ] in
   Alcotest.(check bool) "warm = hit" true (warm.Snapshot.est_disk = `Hit);
   Alcotest.(check int) "warm start does not re-prepare" 1 !prepares;
   Alcotest.(check bool) "warm query bit-identical" true
     (Cost.query warm.Snapshot.est_oracle Category.Set.empty = q);
   (* an engine switch under the same key must rebuild, not limp *)
   let cross =
-    Snapshot.establish ~cache_dir:tmpdir ~key ~kind:Runner.Fullgraph ~cfg
-      ~seed:0 ~prepare ()
+    counted "engine switch"
+      (Snapshot.establish ~cache_dir:tmpdir ~key ~kind:Runner.Fullgraph ~cfg
+         ~seed:0 ~prepare)
+      [ 0; 0; 1 ]
   in
   Alcotest.(check bool) "engine mismatch rejected" true
     (cross.Snapshot.est_disk = `Reject);

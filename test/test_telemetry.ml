@@ -70,13 +70,22 @@ let test_with_span_exception () =
   | [ s ] -> Alcotest.(check string) "span closed on exception" "boom" s.name
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
+(* [enable] gates spans only: counters and gauges record either way *)
 let test_disabled_spans_invisible () =
   with_clean_sink @@ fun () ->
   let sp = Telemetry.start_span "ghost" in
   Telemetry.end_span sp;
   Telemetry.with_span "ghost2" (fun () -> ());
+  let c = Telemetry.counter "test.disabled_counter" in
+  let g = Telemetry.gauge "test.disabled_gauge" in
+  Telemetry.incr c;
+  Telemetry.add c 2;
+  Telemetry.set g 1.5;
   Alcotest.(check int) "no spans recorded while disabled" 0
-    (List.length (Telemetry.spans ()))
+    (List.length (Telemetry.spans ()));
+  Alcotest.(check int) "counter counts while disabled" 3 (Telemetry.value c);
+  Alcotest.(check (float 0.)) "gauge holds its value while disabled" 1.5
+    (Telemetry.gauge_value g)
 
 (* ---------- counters under the pool ---------- *)
 
