@@ -603,15 +603,6 @@ let run_load (s : load_settings) : (string * float) list =
      opaque reply lines with a cheap error sniff — so the (single-domain)
      generator measures the servers, not its own JSON codec.  Replies
      were already proven bit-identical on the primed path above. *)
-  let has_sub hay needle =
-    (* allocation-free scan: the sniff runs inside the timed loop on
-       every reply frame, so a String.sub per position would bill the
-       servers for the generator's garbage *)
-    let nh = String.length hay and nn = String.length needle in
-    let rec eq i j = j = nn || (hay.[i + j] = needle.[j] && eq i (j + 1)) in
-    let rec go i = i + nn <= nh && (eq i 0 || go (i + 1)) in
-    nn > 0 && go 0
-  in
   (* Each connection is pinned to one request line (fixed id included),
      and the analyses are deterministic, so every reply on a connection
      must be byte-for-byte the same.  The first reply is sniffed for an
@@ -628,7 +619,7 @@ let run_load (s : load_settings) : (string * float) list =
       if String.equal line exp then items
       else failwith (Printf.sprintf "load (%s): reply diverged: %s" what line)
     | None ->
-      if has_sub line "\"error\"" then
+      if Protocol.has_substring line "\"error\"" then
         failwith (Printf.sprintf "load (%s): error reply: %s" what line)
       else begin
         (* a benign race: all writers of one slot store the same bytes *)
@@ -840,98 +831,68 @@ let run_load (s : load_settings) : (string * float) list =
     ("soak/failed", Float.of_int soak_failed);
   ]
 
-(* BENCH_load.json: same row format as the other committed baselines,
-   plus the load settings and the embedded run manifest so two artifacts
-   are comparable across machines and CI runs. *)
-let write_load_json file (s : load_settings) (rows : (string * float) list) =
-  let manifest =
-    Icost_report.Telemetry_export.manifest
-      ~config_digest:(Icost_report.Telemetry_export.digest Config.default)
-      ~seed:Icost_profiler.Sampler.default_opts.seed
-      ~workloads:Workload.names ()
+(* --- machine-readable records --------------------------------------- *)
+
+module Json = Icost_service.Json
+
+(* Objects at the top two levels one member per line, deeper values on one
+   line, so a refreshed record diffs row by row. *)
+let rec layout depth = function
+  | Json.Obj fields when depth < 2 && fields <> [] ->
+    let pad = String.make ((2 * depth) + 2) ' ' in
+    "{\n"
+    ^ String.concat ",\n"
+        (List.map
+           (fun (k, v) -> pad ^ Json.encode (Json.Str k) ^ ": " ^ layout (depth + 1) v)
+           fields)
+    ^ "\n" ^ String.make (2 * depth) ' ' ^ "}"
+  | v -> Json.encode v
+
+(* Every committed BENCH_*.json record has one shape: an optional schema,
+   the command that wrote it, the unit, optional settings, the run
+   manifest when [workloads] is given (so two records are comparable
+   across machines and CI runs), and the rows under "results" — the only
+   member {!read_json} and the regression gate read.  A non-finite row is
+   written as null, which the gate then reports as missing. *)
+let write_json ?schema ?settings ?workloads ~mode ~unit file
+    (rows : (string * float) list) =
+  let manifest workloads =
+    Json.parse
+      (Icost_report.Telemetry_export.manifest_json
+         (Icost_report.Telemetry_export.manifest
+            ~config_digest:(Icost_report.Telemetry_export.digest Config.default)
+            ~seed:Icost_profiler.Sampler.default_opts.seed ~workloads ()))
   in
-  let oc = open_out file in
-  output_string oc "{\n";
-  output_string oc "  \"schema\": \"icost.load.v1\",\n";
-  output_string oc
-    "  \"generated-by\": \"dune exec bench/main.exe -- load --json\",\n";
-  output_string oc "  \"unit\": \"qps / ms\",\n";
-  Printf.fprintf oc "  \"settings\": {\n";
-  Printf.fprintf oc "    \"conns\": %d,\n" s.conns;
-  Printf.fprintf oc "    \"batch\": %d,\n" s.batch;
-  Printf.fprintf oc "    \"batch-conns\": %d,\n" s.batch_conns;
-  Printf.fprintf oc "    \"depth\": %d,\n" s.depth;
-  Printf.fprintf oc "    \"duration-s\": %g,\n" s.duration_s;
-  Printf.fprintf oc "    \"soak-duration-s\": %g,\n" s.soak_duration_s;
-  Printf.fprintf oc "    \"soak-kill-every-s\": %g,\n" s.soak_kill_every_s;
-  Printf.fprintf oc "    \"soak-conns\": %d\n" s.soak_conns;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"manifest\": %s,\n"
-    (Icost_report.Telemetry_export.manifest_json manifest);
-  output_string oc "  \"results\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "    %S: %.4f%s\n" name v
-        (if i = n - 1 then "" else ","))
-    rows;
-  output_string oc "  }\n}\n";
-  close_out oc;
+  let some k f = Option.map (fun v -> (k, f v)) in
+  let row (k, v) = (k, if Float.is_finite v then Json.Float v else Json.Null) in
+  let doc =
+    Json.Obj
+      (List.filter_map Fun.id
+         [
+           some "schema" (fun s -> Json.Str s) schema;
+           Some
+             ("generated-by", Json.Str ("dune exec bench/main.exe -- " ^ mode ^ " --json"));
+           Some ("unit", Json.Str unit);
+           some "settings" Fun.id settings;
+           some "manifest" manifest workloads;
+           Some ("results", Json.Obj (List.map row rows));
+         ])
+  in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (layout 0 doc ^ "\n"));
   Printf.printf "wrote %s\n" file
 
-(* --- machine-readable perf trajectory ------------------------------- *)
-
-let write_json file (rows : (string * float) list) =
-  let oc = open_out file in
-  output_string oc "{\n";
-  output_string oc
-    "  \"generated-by\": \"dune exec bench/main.exe -- micro --json\",\n";
-  output_string oc "  \"unit\": \"ms/run\",\n";
-  output_string oc "  \"results\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, ms) ->
-      Printf.fprintf oc "    %S: %.4f%s\n" name ms
-        (if i = n - 1 then "" else ","))
-    rows;
-  output_string oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" file
-
-(* Minimal reader for the JSON written above: lines of the form
-   ["name": number], taken only between the "results" opener and its
-   closing brace — rows in other sections (seed manifest, settings)
-   must not leak into the comparison. *)
+(* The rows of a BENCH_*.json record: the numbers under "results"; other
+   members (settings, manifest, hand-added notes) never reach the
+   comparison. *)
 let read_json file : (string * float) list =
-  let ic = open_in file in
-  let rows = ref [] in
-  let in_results = ref false in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if not !in_results then begin
-         if line = "\"results\": {" then in_results := true
-       end
-       else if line = "}" || line = "}," then in_results := false
-       else
-         match String.index_opt line ':' with
-         | Some i when String.length line > 1 && line.[0] = '"' ->
-           let name = String.sub line 1 (i - 2) in
-           let value = String.sub line (i + 1) (String.length line - i - 1) in
-           let value =
-             String.trim
-               (match String.index_opt value ',' with
-                | Some j -> String.sub value 0 j
-                | None -> value)
-           in
-           (match float_of_string_opt value with
-            | Some v -> rows := (name, v) :: !rows
-            | None -> ())
-         | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  let doc = Json.parse (In_channel.with_open_bin file In_channel.input_all) in
+  match Json.member "results" doc with
+  | Some (Json.Obj rows) ->
+    List.filter_map
+      (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.get_float v))
+      rows
+  | _ -> failwith (file ^ ": no \"results\" object")
 
 (** Exit nonzero if any benchmark present in both runs got more than
     [tolerance] worse, or if a baseline row was not measured at all —
@@ -1085,14 +1046,13 @@ let run_check () : (string * float) list =
    check_regression.sh like every other baseline. *)
 let sweep_bench_specs = [ "window=16..512"; "mem_lat=10..160:10" ]
 
+let sweep_bench_settings =
+  { Runner.warmup = 20_000; measure = 4_000; benches = [ "gcc" ] }
+
 let run_sweep_bench () : (string * float) list =
   let module Sweep = Icost_sensitivity.Sweep in
   let module Sparam = Icost_sensitivity.Param in
-  let prepared =
-    Runner.prepare
-      { Runner.warmup = 20_000; measure = 4_000; benches = [ "gcc" ] }
-      (Workload.find_exn "gcc")
-  in
+  let prepared = Runner.prepare sweep_bench_settings (Workload.find_exn "gcc") in
   let axes =
     match Sparam.parse_axes sweep_bench_specs with
     | Ok a -> a
@@ -1155,40 +1115,6 @@ let run_sweep_bench () : (string * float) list =
     exit 1
   end;
   [ ("sweep/gcc-seq-ms", seq_ms); ("sweep/gcc-par4-ms", par_ms) ]
-
-(* BENCH_sweep.json: the committed sweep-timing baseline, same row
-   format as the other records plus the grid and the run manifest. *)
-let write_sweep_json file (rows : (string * float) list) =
-  let manifest =
-    Icost_report.Telemetry_export.manifest
-      ~config_digest:(Icost_report.Telemetry_export.digest Config.default)
-      ~seed:Icost_profiler.Sampler.default_opts.seed ~workloads:[ "gcc" ] ()
-  in
-  let oc = open_out file in
-  output_string oc "{\n";
-  output_string oc "  \"schema\": \"icost.sweep-bench.v1\",\n";
-  output_string oc
-    "  \"generated-by\": \"dune exec bench/main.exe -- sweep --json\",\n";
-  output_string oc "  \"unit\": \"ms/sweep\",\n";
-  Printf.fprintf oc "  \"settings\": {\n";
-  Printf.fprintf oc "    \"params\": [%s],\n"
-    (String.concat ", "
-       (List.map (Printf.sprintf "%S") sweep_bench_specs));
-  Printf.fprintf oc "    \"warmup\": 20000,\n";
-  Printf.fprintf oc "    \"measure\": 4000\n";
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"manifest\": %s,\n"
-    (Icost_report.Telemetry_export.manifest_json manifest);
-  output_string oc "  \"results\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "    %S: %.4f%s\n" name v
-        (if i = n - 1 then "" else ","))
-    rows;
-  output_string oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" file
 
 (* ------------------------------------------------------------------ *)
 (* Streaming mode: bounded-memory analysis of a 10M-instruction run    *)
@@ -1290,39 +1216,6 @@ let run_stream () : (string * float) list =
     ("stream/peak-mb-small", peak_small);
   ]
 
-(* BENCH_stream.json: the committed streaming baseline, same row format
-   as the other records plus the run settings and manifest. *)
-let write_stream_json file (rows : (string * float) list) =
-  let manifest =
-    Icost_report.Telemetry_export.manifest
-      ~config_digest:(Icost_report.Telemetry_export.digest Config.default)
-      ~seed:Icost_profiler.Sampler.default_opts.seed
-      ~workloads:[ stream_bench ] ()
-  in
-  let oc = open_out file in
-  output_string oc "{\n";
-  output_string oc "  \"schema\": \"icost.stream-bench.v1\",\n";
-  output_string oc
-    "  \"generated-by\": \"dune exec bench/main.exe -- stream --json\",\n";
-  output_string oc "  \"unit\": \"ms per million instructions / MB\",\n";
-  Printf.fprintf oc "  \"settings\": {\n";
-  Printf.fprintf oc "    \"insns\": %d,\n" (env_int "ICOST_STREAM_INSNS" 10_000_000);
-  Printf.fprintf oc "    \"segment-insns\": %d,\n" Stream_core.default_segment_insns;
-  Printf.fprintf oc "    \"warmup\": %d\n" stream_warmup;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"manifest\": %s,\n"
-    (Icost_report.Telemetry_export.manifest_json manifest);
-  output_string oc "  \"results\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "    %S: %.4f%s\n" name v
-        (if i = n - 1 then "" else ","))
-    rows;
-  output_string oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" file
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1382,7 +1275,24 @@ let () =
       failwith "-- load cannot be combined with other bench modes";
     let settings = load_settings () in
     let rows = run_load settings in
-    Option.iter (fun f -> write_load_json f settings rows) !json_file;
+    Option.iter
+      (fun f ->
+        write_json ~schema:"icost.load.v1" ~mode:"load" ~unit:"qps / ms"
+          ~workloads:Workload.names
+          ~settings:
+            (Json.Obj
+               [
+                 ("conns", Int settings.conns);
+                 ("batch", Int settings.batch);
+                 ("batch-conns", Int settings.batch_conns);
+                 ("depth", Int settings.depth);
+                 ("duration-s", Float settings.duration_s);
+                 ("soak-duration-s", Float settings.soak_duration_s);
+                 ("soak-kill-every-s", Float settings.soak_kill_every_s);
+                 ("soak-conns", Int settings.soak_conns);
+               ])
+          f rows)
+      !json_file;
     Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file;
     exit 0
   end;
@@ -1393,7 +1303,19 @@ let () =
     if List.exists (fun i -> i <> "sweep") ids then
       failwith "-- sweep cannot be combined with other bench modes";
     let rows = run_sweep_bench () in
-    Option.iter (fun f -> write_sweep_json f rows) !json_file;
+    Option.iter
+      (fun f ->
+        write_json ~schema:"icost.sweep-bench.v1" ~mode:"sweep" ~unit:"ms/sweep"
+          ~workloads:[ "gcc" ]
+          ~settings:
+            (Json.Obj
+               [
+                 ("params", Arr (List.map (fun p -> Json.Str p) sweep_bench_specs));
+                 ("warmup", Int sweep_bench_settings.warmup);
+                 ("measure", Int sweep_bench_settings.measure);
+               ])
+          f rows)
+      !json_file;
     Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file;
     exit 0
   end;
@@ -1403,7 +1325,19 @@ let () =
     if List.exists (fun i -> i <> "stream") ids then
       failwith "-- stream cannot be combined with other bench modes";
     let rows = run_stream () in
-    Option.iter (fun f -> write_stream_json f rows) !json_file;
+    Option.iter
+      (fun f ->
+        write_json ~schema:"icost.stream-bench.v1" ~mode:"stream"
+          ~unit:"ms per million instructions / MB" ~workloads:[ stream_bench ]
+          ~settings:
+            (Json.Obj
+               [
+                 ("insns", Int (env_int "ICOST_STREAM_INSNS" 10_000_000));
+                 ("segment-insns", Int Stream_core.default_segment_insns);
+                 ("warmup", Int stream_warmup);
+               ])
+          f rows)
+      !json_file;
     Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file;
     exit 0
   end;
@@ -1420,6 +1354,6 @@ let () =
     @ (if micro_requested then run_micro () else [])
   in
   if rows <> [] then begin
-    Option.iter (fun f -> write_json f rows) !json_file;
+    Option.iter (fun f -> write_json ~mode:"micro" ~unit:"ms/run" f rows) !json_file;
     Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file
   end

@@ -162,9 +162,10 @@ let seed_arg =
 
 let cache_dir_arg =
   let doc =
-    "Persistent snapshot store (icost.graphcache.v1): reuse compiled \
-     graphs and memoized subset costs across runs and 'icost serve' \
-     restarts.  The directory is created on first use."
+    "Persistent snapshot store (icost.graphcache.v2): reuse prepared \
+     workloads, dependence graphs and memoized subset costs across runs \
+     and 'icost serve' restarts.  Files in an older format are rejected \
+     and rebuilt.  The directory is created on first use."
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 

@@ -73,26 +73,30 @@ type edge = {
           is idealized *)
 }
 
-(** Flat-array ("compiled") form of the edge and floor latency data,
-    precomputed at {!Builder.finish} time.  The hot evaluation loop reads
-    only unboxed [int array]s: per edge a source node, a base latency, a
-    removal bitmask (0 when no category removes the edge) and a slice of
-    (category-bitmask, latency-delta) component pairs; floors are the same
-    data sorted by node so one forward cursor replaces the per-eval
-    [Hashtbl].  Category sets are bitmasks ({!Category.Set.t} = [int]), so
-    membership tests in the inner loop are single [land]s. *)
-type compiled = {
-  e_src : int array;  (** per edge, in CSR order *)
+(* The graph in flat arrays, the one form every query reads.  Edges are in
+   CSR order: the in-edges of node [v] are [first_in.(v) .. first_in.(v+1)
+   - 1].  Per edge there is a source node, a kind, a base latency, a removal
+   mask (0 when no category removes the edge) and a slice
+   [e_comp_off.(k) .. e_comp_off.(k+1) - 1] of (category mask, latency)
+   components.  Floors (minimum arrival times for nodes whose stall has no
+   incoming edge to ride on, e.g. the first instruction's I-cache miss) are
+   sorted by node, so one forward cursor applies them; their components sit
+   in the same component arrays after the edges'.  Category sets are
+   bitmasks ({!Category.Set.t} = [int]), so membership tests in the inner
+   loops are single [land]s. *)
+type t = {
+  num_instrs : int;
+  first_in : int array;  (** [5 * num_instrs + 1] CSR offsets *)
+  e_src : int array;
+  e_kind : edge_kind array;
   e_base : int array;
   e_removed : int array;  (** singleton category mask, or 0 *)
   e_comp_off : int array;  (** [num_edges + 1] offsets into [comp_*] *)
-  comp_mask : int array;
+  comp_mask : int array;  (** singleton category mask *)
   comp_lat : int array;
-  f_node : int array;  (** floor entries, sorted by node *)
+  f_node : int array;  (** floors, sorted by node *)
   f_base : int array;
-  f_off : int array;  (** [num_floors + 1] offsets into [f_comp_*] *)
-  f_comp_mask : int array;
-  f_comp_lat : int array;
+  f_off : int array;  (** [num_floors + 1] offsets into [comp_*] *)
   lat_bound : int;
       (** sound upper bound on any node arrival time under any idealization
           (sum over nodes of the max full incoming latency, plus all floor
@@ -100,19 +104,11 @@ type compiled = {
           sliced evaluator prove that packed lane fields cannot overflow. *)
 }
 
-type t = {
-  num_instrs : int;
-  edges : edge array;  (** sorted by [dst] *)
-  first_in : int array;  (** CSR index: incoming edges of node [v] are
-                             [edges.(first_in.(v)) .. edges.(first_in.(v+1) - 1)] *)
-  floors : (int * int * component list) list;
-      (** (node, base, components): minimum arrival times for nodes with no
-          incoming edge to carry them (e.g. the first instruction's I-cache
-          stall delaying its dispatch) *)
-  compiled : compiled;
-}
+let num_instrs t = t.num_instrs
 
 let num_nodes t = 5 * t.num_instrs
+
+let num_edges t = Array.length t.e_src
 
 let node ~seq ~kind = (5 * seq) + kind_index kind
 
@@ -122,288 +118,77 @@ let kind_of_node v = node_kinds.(v mod 5)
 
 let node_name v = Printf.sprintf "%s%d" (kind_name (kind_of_node v)) (seq_of_node v)
 
-(** Effective latency of [e] under the idealization [s]; [None] if the edge
-    is removed entirely. *)
-let edge_latency (s : Category.Set.t) (e : edge) : int option =
-  match e.removed_by with
-  | Some c when Category.Set.mem c s -> None
-  | _ ->
-    let extra =
-      List.fold_left
-        (fun acc { cat; lat } -> if Category.Set.mem cat s then acc else acc + lat)
-        0 e.components
-    in
-    Some (e.base + extra)
-
 let cat_mask (c : Category.t) : int = Category.Set.singleton c
 
-let compile ~(edges : edge array) ~(floors : (int * int * component list) list)
-    : compiled =
-  let ne = Array.length edges in
-  let e_src = Array.make ne 0 in
-  let e_base = Array.make ne 0 in
-  let e_removed = Array.make ne 0 in
-  let e_comp_off = Array.make (ne + 1) 0 in
-  let ncomp =
-    Array.fold_left (fun acc e -> acc + List.length e.components) 0 edges
-  in
-  let comp_mask = Array.make (max 1 ncomp) 0 in
-  let comp_lat = Array.make (max 1 ncomp) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i e ->
-      e_src.(i) <- e.src;
-      e_base.(i) <- e.base;
-      e_removed.(i) <- (match e.removed_by with None -> 0 | Some c -> cat_mask c);
-      e_comp_off.(i) <- !k;
-      List.iter
-        (fun { cat; lat } ->
-          comp_mask.(!k) <- cat_mask cat;
-          comp_lat.(!k) <- lat;
-          incr k)
-        e.components)
-    edges;
-  e_comp_off.(ne) <- !k;
-  let floors =
-    List.stable_sort (fun (a, _, _) (b, _, _) -> compare (a : int) b) floors
-  in
-  let nf = List.length floors in
-  let f_node = Array.make (max 1 nf) max_int in
-  let f_base = Array.make (max 1 nf) 0 in
-  let f_off = Array.make (nf + 1) 0 in
-  let nfcomp =
-    List.fold_left (fun acc (_, _, cs) -> acc + List.length cs) 0 floors
-  in
-  let f_comp_mask = Array.make (max 1 nfcomp) 0 in
-  let f_comp_lat = Array.make (max 1 nfcomp) 0 in
-  let j = ref 0 in
-  List.iteri
-    (fun i (node, base, cs) ->
-      f_node.(i) <- node;
-      f_base.(i) <- base;
-      f_off.(i) <- !j;
-      List.iter
-        (fun { cat; lat } ->
-          f_comp_mask.(!j) <- cat_mask cat;
-          f_comp_lat.(!j) <- lat;
-          incr j)
-        cs)
-    floors;
-  f_off.(nf) <- !j;
-  let f_node = if nf = 0 then [||] else f_node in
-  let f_base = if nf = 0 then [||] else f_base in
-  let lat_bound =
-    (* a longest path visits nodes in topological order, so its length is at
-       most the sum over nodes of the largest full (no idealization)
-       incoming latency; floors only raise a node to a fixed value, so
-       adding their totals keeps the bound sound.  Negative latencies break
-       both the bound and the packed evaluator's non-negativity invariant,
-       so they poison the bound to -1. *)
-    let neg = ref false in
-    let full e =
-      if e.base < 0 then neg := true;
-      List.fold_left
-        (fun acc { lat; _ } ->
-          if lat < 0 then neg := true;
-          acc + lat)
-        e.base e.components
-    in
-    let bound = ref 0 in
-    let cur_dst = ref (-1) in
-    let cur_max = ref 0 in
-    Array.iter
-      (fun e ->
-        let l = full e in
-        if e.dst <> !cur_dst then begin
-          bound := !bound + !cur_max;
-          cur_dst := e.dst;
-          cur_max := l
-        end
-        else if l > !cur_max then cur_max := l)
-      edges;
-    bound := !bound + !cur_max;
-    List.iter
-      (fun (_, base, cs) ->
-        if base < 0 then neg := true;
-        bound :=
-          !bound
-          + List.fold_left
-              (fun acc { lat; _ } ->
-                if lat < 0 then neg := true;
-                acc + lat)
-              base cs)
-      floors;
-    if !neg then -1 else !bound
-  in
+let cat_of_mask m = List.hd (Category.Set.to_list m)
+
+(* [base] plus the components [lo .. hi - 1] that [s] does not idealize. *)
+let span_latency t (s : Category.Set.t) base lo hi =
+  let lat = ref base in
+  for j = lo to hi - 1 do
+    if t.comp_mask.(j) land s = 0 then lat := !lat + t.comp_lat.(j)
+  done;
+  !lat
+
+(* Effective latency of edge [k] under [s]; [None] if [s] removes it. *)
+let latency t (s : Category.Set.t) k =
+  if t.e_removed.(k) land s <> 0 then None
+  else Some (span_latency t s t.e_base.(k) t.e_comp_off.(k) t.e_comp_off.(k + 1))
+
+let edge_at t ~dst k =
+  let comps = ref [] in
+  for j = t.e_comp_off.(k + 1) - 1 downto t.e_comp_off.(k) do
+    comps := { cat = cat_of_mask t.comp_mask.(j); lat = t.comp_lat.(j) } :: !comps
+  done;
   {
-    e_src;
-    e_base;
-    e_removed;
-    e_comp_off;
-    comp_mask;
-    comp_lat;
-    f_node;
-    f_base;
-    f_off;
-    f_comp_mask;
-    f_comp_lat;
-    lat_bound;
+    src = t.e_src.(k);
+    dst;
+    kind = t.e_kind.(k);
+    base = t.e_base.(k);
+    components = !comps;
+    removed_by =
+      (if t.e_removed.(k) = 0 then None else Some (cat_of_mask t.e_removed.(k)));
   }
 
-(* ---------- compact serialization ---------- *)
-
-let edge_kind_tag = function
-  | DD -> 0
-  | FBW -> 1
-  | CD -> 2
-  | PD -> 3
-  | DR -> 4
-  | PR -> 5
-  | RE -> 6
-  | EP -> 7
-  | PP -> 8
-  | PC -> 9
-  | CC -> 10
-  | CBW -> 11
-
-let edge_kind_of_tag = function
-  | 0 -> DD
-  | 1 -> FBW
-  | 2 -> CD
-  | 3 -> PD
-  | 4 -> DR
-  | 5 -> PR
-  | 6 -> RE
-  | 7 -> EP
-  | 8 -> PP
-  | 9 -> PC
-  | 10 -> CC
-  | 11 -> CBW
-  | n -> failwith (Printf.sprintf "Graph.unmarshal: bad edge kind %d" n)
-
-(* The derived [compiled] arrays are dropped ([unmarshal] recompiles them)
-   and the edge records are transposed into flat int arrays, so decoding
-   allocates a handful of large blocks instead of one block per edge. *)
-let marshal (g : t) : string =
-  let ne = Array.length g.edges in
-  let src = Array.make (max 1 ne) 0
-  and dst = Array.make (max 1 ne) 0
-  and kindi = Array.make (max 1 ne) 0
-  and base = Array.make (max 1 ne) 0
-  and removed = Array.make (max 1 ne) 0
-  and comp_off = Array.make (ne + 1) 0 in
-  let ncomp =
-    Array.fold_left (fun acc e -> acc + List.length e.components) 0 g.edges
-  in
-  let comp_cat = Array.make (max 1 ncomp) 0
-  and comp_lat = Array.make (max 1 ncomp) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i e ->
-      src.(i) <- e.src;
-      dst.(i) <- e.dst;
-      kindi.(i) <- edge_kind_tag e.kind;
-      base.(i) <- e.base;
-      removed.(i) <-
-        (match e.removed_by with None -> -1 | Some c -> Category.to_int c);
-      comp_off.(i) <- !k;
-      List.iter
-        (fun { cat; lat } ->
-          comp_cat.(!k) <- Category.to_int cat;
-          comp_lat.(!k) <- lat;
-          incr k)
-        e.components)
-    g.edges;
-  comp_off.(ne) <- !k;
-  Marshal.to_string
-    ( g.num_instrs,
-      ne,
-      src,
-      dst,
-      kindi,
-      base,
-      removed,
-      comp_off,
-      comp_cat,
-      comp_lat,
-      g.first_in,
-      g.floors )
-    []
-
-let unmarshal (s : string) : t =
-  let ( num_instrs,
-        ne,
-        src,
-        dst,
-        kindi,
-        base,
-        removed,
-        comp_off,
-        comp_cat,
-        comp_lat,
-        first_in,
-        floors ) =
-    try
-      (Marshal.from_string s 0
-        : int
-          * int
-          * int array
-          * int array
-          * int array
-          * int array
-          * int array
-          * int array
-          * int array
-          * int array
-          * int array
-          * (int * int * component list) list)
-    with Failure _ -> failwith "Graph.unmarshal: malformed bytes"
-  in
-  if
-    ne < 0
-    || Array.length src < ne
-    || Array.length dst < ne
-    || Array.length kindi < ne
-    || Array.length base < ne
-    || Array.length removed < ne
-    || Array.length comp_off < ne + 1
-    || comp_off.(ne) > Array.length comp_cat
-    || comp_off.(ne) > Array.length comp_lat
-  then failwith "Graph.unmarshal: malformed bytes";
-  let edges =
-    try
-      Array.init ne (fun i ->
-          let comps = ref [] in
-          for k = comp_off.(i + 1) - 1 downto comp_off.(i) do
-            comps :=
-              { cat = Category.of_int comp_cat.(k); lat = comp_lat.(k) }
-              :: !comps
-          done;
-          {
-            src = src.(i);
-            dst = dst.(i);
-            kind = edge_kind_of_tag kindi.(i);
-            base = base.(i);
-            components = !comps;
-            removed_by =
-              (if removed.(i) < 0 then None
-               else Some (Category.of_int removed.(i)));
-          })
-    with Invalid_argument _ -> failwith "Graph.unmarshal: malformed bytes"
-  in
-  { num_instrs; edges; first_in; floors; compiled = compile ~edges ~floors }
+let edge t k =
+  if k < 0 || k >= num_edges t then invalid_arg "Graph.edge";
+  (* the destination is the node whose CSR range holds [k] *)
+  let lo = ref 0 and hi = ref (num_nodes t) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if t.first_in.(mid) <= k then lo := mid else hi := mid
+  done;
+  edge_at t ~dst:!lo k
 
 (* ---------- building ---------- *)
 
 module Builder = struct
+  (* Edges in emission order, in chunks of [slots] edges: edge [i] is slot
+     [i land (slots - 1)] of chunk [i lsr bits].  Growing never copies an
+     edge.  A chunk's arrays are small blocks, allocated young and, once
+     promoted, kept in the major heap's size-class pools: large blocks
+     (whole doubled arrays, or chunks of 128 slots or more) leave garbage
+     that raised the peak heap of graph-heavy runs by ~10%. *)
+  let bits = 6
+  let slots = 1 lsl bits
+
+  type chunk = {
+    src : int array;
+    dst : int array;
+    kind : edge_kind array;
+    base : int array;
+    removed : int array;  (* singleton category mask, or 0 *)
+    comps : component list array;
+  }
+
   type b = {
-    mutable edge_buf : edge list;
-    mutable n_edges : int;
     mutable n_instrs : int;
+    mutable ne : int;
+    mutable chunks : chunk array;  (* doubled as it fills *)
     mutable floors : (int * int * component list) list;
   }
 
-  let create () = { edge_buf = []; n_edges = 0; n_instrs = 0; floors = [] }
+  let create () = { n_instrs = 0; ne = 0; chunks = [||]; floors = [] }
 
   (** Constrain [node] to arrive no earlier than [base] plus the (category
       owned) components. *)
@@ -412,8 +197,30 @@ module Builder = struct
 
   let add_edge b ~src ~dst ~kind ?(base = 0) ?(components = []) ?removed_by () =
     assert (src < dst);
-    b.edge_buf <- { src; dst; kind; base; components; removed_by } :: b.edge_buf;
-    b.n_edges <- b.n_edges + 1
+    let ci = b.ne lsr bits and o = b.ne land (slots - 1) in
+    if o = 0 then begin
+      let c =
+        {
+          src = Array.make slots 0;
+          dst = Array.make slots 0;
+          kind = Array.make slots DD;
+          base = Array.make slots 0;
+          removed = Array.make slots 0;
+          comps = Array.make slots [];
+        }
+      in
+      if ci = Array.length b.chunks then
+        b.chunks <- Array.append b.chunks (Array.make (max 8 ci) c)
+      else b.chunks.(ci) <- c
+    end;
+    let c = b.chunks.(ci) in
+    c.src.(o) <- src;
+    c.dst.(o) <- dst;
+    c.kind.(o) <- kind;
+    c.base.(o) <- base;
+    c.removed.(o) <- (match removed_by with None -> 0 | Some c -> cat_mask c);
+    c.comps.(o) <- components;
+    b.ne <- b.ne + 1
 
   let note_instr b = b.n_instrs <- b.n_instrs + 1
 
@@ -422,87 +229,199 @@ module Builder = struct
   let c_edges = Telemetry.counter "graph.edges"
   let c_components = Telemetry.counter "graph.edge_components"
 
-  (** Finalize into CSR form (counting sort of edges by destination). *)
+  (** Counting-sort the edges by destination into CSR order, flattening
+      each edge's components next to it, and sort the floors by node. *)
   let finish b : t =
     let sp = Telemetry.start_span "graph.compile" in
     let num_instrs = b.n_instrs in
-    let n_nodes = 5 * num_instrs in
-    let counts = Array.make (n_nodes + 1) 0 in
-    List.iter (fun e -> counts.(e.dst + 1) <- counts.(e.dst + 1) + 1) b.edge_buf;
-    for v = 1 to n_nodes do
-      counts.(v) <- counts.(v) + counts.(v - 1)
+    let n = 5 * num_instrs and ne = b.ne in
+    let dst i = b.chunks.(i lsr bits).dst.(i land (slots - 1)) in
+    let first_in = Array.make (n + 1) 0 in
+    let nc = ref 0 in
+    for i = 0 to ne - 1 do
+      let c = b.chunks.(i lsr bits) and o = i land (slots - 1) in
+      first_in.(c.dst.(o) + 1) <- first_in.(c.dst.(o) + 1) + 1;
+      nc := !nc + List.length c.comps.(o)
     done;
-    let first_in = Array.copy counts in
-    let dummy =
-      { src = 0; dst = 0; kind = DD; base = 0; components = []; removed_by = None }
+    for v = 1 to n do
+      first_in.(v) <- first_in.(v) + first_in.(v - 1)
+    done;
+    (* newest edge first, so each node's in-edges sit in reverse emission
+       order (the order critical-path ties and renderings follow) *)
+    let cursor = Array.sub first_in 0 n in
+    let perm = Array.make ne 0 in
+    for i = ne - 1 downto 0 do
+      let d = dst i in
+      perm.(cursor.(d)) <- i;
+      cursor.(d) <- cursor.(d) + 1
+    done;
+    let floors =
+      List.stable_sort (fun (a, _, _) (b, _, _) -> compare (a : int) b) b.floors
     in
-    let edges = Array.make b.n_edges dummy in
-    let cursor = Array.copy first_in in
-    List.iter
-      (fun e ->
-        edges.(cursor.(e.dst)) <- e;
-        cursor.(e.dst) <- cursor.(e.dst) + 1)
-      b.edge_buf;
-    let compiled = compile ~edges ~floors:b.floors in
+    let nf = List.length floors in
+    let nc =
+      List.fold_left (fun acc (_, _, cs) -> acc + List.length cs) !nc floors
+    in
+    let e_src = Array.make ne 0
+    and e_kind = Array.make ne DD
+    and e_base = Array.make ne 0
+    and e_removed = Array.make ne 0
+    and e_comp_off = Array.make (ne + 1) 0
+    and comp_mask = Array.make nc 0
+    and comp_lat = Array.make nc 0 in
+    (* a longest path visits nodes in topological order, so its length is
+       at most the sum over nodes of the largest full (no idealization)
+       incoming latency; floors only raise a node to a fixed value, so
+       adding their totals keeps the bound sound.  Negative latencies break
+       both the bound and the packed evaluator's non-negativity invariant,
+       so they poison the bound to -1. *)
+    let neg = ref false and bound = ref 0 in
+    let j = ref 0 in
+    let add_comp acc { cat; lat } =
+      if lat < 0 then neg := true;
+      comp_mask.(!j) <- cat_mask cat;
+      comp_lat.(!j) <- lat;
+      incr j;
+      acc + lat
+    in
+    for v = 0 to n - 1 do
+      let vmax = ref 0 in
+      for k = first_in.(v) to first_in.(v + 1) - 1 do
+        let i = perm.(k) in
+        let c = b.chunks.(i lsr bits) and o = i land (slots - 1) in
+        e_src.(k) <- c.src.(o);
+        e_kind.(k) <- c.kind.(o);
+        e_base.(k) <- c.base.(o);
+        e_removed.(k) <- c.removed.(o);
+        e_comp_off.(k) <- !j;
+        if c.base.(o) < 0 then neg := true;
+        let full = List.fold_left add_comp c.base.(o) c.comps.(o) in
+        if full > !vmax then vmax := full
+      done;
+      bound := !bound + !vmax
+    done;
+    e_comp_off.(ne) <- !j;
+    let f_node = Array.make nf 0
+    and f_base = Array.make nf 0
+    and f_off = Array.make (nf + 1) !j in
+    List.iteri
+      (fun i (node, base, cs) ->
+        f_node.(i) <- node;
+        f_base.(i) <- base;
+        f_off.(i) <- !j;
+        if base < 0 then neg := true;
+        bound := List.fold_left add_comp (!bound + base) cs)
+      floors;
+    f_off.(nf) <- !j;
     Telemetry.incr c_graphs;
-    Telemetry.add c_nodes n_nodes;
-    Telemetry.add c_edges b.n_edges;
-    Telemetry.add c_components (Array.length compiled.comp_mask);
+    Telemetry.add c_nodes n;
+    Telemetry.add c_edges ne;
+    Telemetry.add c_components e_comp_off.(ne);
     if Telemetry.enabled () then
       Telemetry.end_span sp
         ~attrs:
-          [
-            ("instrs", string_of_int num_instrs);
-            ("edges", string_of_int b.n_edges);
-          ]
+          [ ("instrs", string_of_int num_instrs); ("edges", string_of_int ne) ]
     else Telemetry.end_span sp;
-    { num_instrs; edges; first_in; floors = b.floors; compiled }
+    {
+      num_instrs;
+      first_in;
+      e_src;
+      e_kind;
+      e_base;
+      e_removed;
+      e_comp_off;
+      comp_mask;
+      comp_lat;
+      f_node;
+      f_base;
+      f_off;
+      lat_bound = (if !neg then -1 else !bound);
+    }
 end
+
+(* ---------- serialization ---------- *)
+
+let marshal (g : t) : string = Marshal.to_string g []
+
+let unmarshal (s : string) : t =
+  let bad () = failwith "Graph.unmarshal: malformed bytes" in
+  let t =
+    try (Marshal.from_string s 0 : t)
+    with Failure _ | Invalid_argument _ -> bad ()
+  in
+  let n = num_nodes t and ne = num_edges t and nf = Array.length t.f_node in
+  let nc = Array.length t.comp_mask in
+  let rec sorted a i =
+    i >= Array.length a || (a.(i - 1) <= a.(i) && sorted a (i + 1))
+  in
+  (* [a] is [len] non-decreasing offsets running from [lo] to [hi] *)
+  let offsets a ~len ~lo ~hi =
+    Array.length a = len && a.(0) = lo && a.(len - 1) = hi && sorted a 1
+  in
+  let singleton m = m > 0 && m land (m - 1) = 0 && m <= Category.Set.full in
+  let ok =
+    try
+      t.num_instrs >= 0
+      && offsets t.first_in ~len:(n + 1) ~lo:0 ~hi:ne
+      && Array.length t.e_kind = ne
+      && Array.length t.e_base = ne
+      && Array.length t.e_removed = ne
+      && Array.length t.comp_lat = nc
+      && Array.length t.f_base = nf
+      && offsets t.f_off ~len:(nf + 1) ~lo:t.f_off.(0) ~hi:nc
+      && offsets t.e_comp_off ~len:(ne + 1) ~lo:0 ~hi:t.f_off.(0)
+      && Array.for_all singleton t.comp_mask
+      && Array.for_all (fun m -> m = 0 || singleton m) t.e_removed
+      && sorted t.f_node 1
+      && Array.for_all (fun v -> v >= 0 && v < n) t.f_node
+      && (let ok = ref true in
+          (* every source precedes its destination *)
+          for v = 0 to n - 1 do
+            for k = t.first_in.(v) to t.first_in.(v + 1) - 1 do
+              if t.e_src.(k) < 0 || t.e_src.(k) >= v then ok := false
+            done
+          done;
+          !ok)
+    with Invalid_argument _ -> false
+  in
+  if ok then t else bad ()
 
 (* ---------- evaluation ---------- *)
 
-(* Generic (boxed) evaluation, only used when an [override] needs to
-   inspect full edge records. *)
+(* Override evaluation: builds each edge's record so [override] can
+   inspect it, otherwise the same pass as {!eval_into}. *)
 let eval_generic ~(ideal : Category.Set.t) ~(override : edge -> int option)
     (t : t) : int array =
   let n = num_nodes t in
   let time = Array.make n 0 in
-  let floor = Hashtbl.create 4 in
-  List.iter
-    (fun (node, base, components) ->
-      let lat =
-        List.fold_left
-          (fun acc { cat; lat } ->
-            if Category.Set.mem cat ideal then acc else acc + lat)
-          base components
-      in
-      Hashtbl.replace floor node
-        (max lat (Option.value ~default:0 (Hashtbl.find_opt floor node))))
-    t.floors;
+  let nf = Array.length t.f_node in
+  let fi = ref 0 in
   for v = 0 to n - 1 do
-    let lo = t.first_in.(v) and hi = t.first_in.(v + 1) in
     let best = ref 0 in
-    for k = lo to hi - 1 do
-      let e = t.edges.(k) in
+    for k = t.first_in.(v) to t.first_in.(v + 1) - 1 do
       let lat =
-        match override e with Some l -> Some l | None -> edge_latency ideal e
+        match override (edge_at t ~dst:v k) with
+        | Some l -> Some l
+        | None -> latency t ideal k
       in
       match lat with
       | None -> ()
       | Some lat ->
-        let cand = time.(e.src) + lat in
+        let cand = time.(t.e_src.(k)) + lat in
         if cand > !best then best := cand
     done;
-    (match Hashtbl.find_opt floor v with
-     | Some f when f > !best -> best := f
-     | _ -> ());
+    while !fi < nf && t.f_node.(!fi) = v do
+      let lat = span_latency t ideal t.f_base.(!fi) t.f_off.(!fi) t.f_off.(!fi + 1) in
+      if lat > !best then best := lat;
+      incr fi
+    done;
     time.(v) <- !best
   done;
   time
 
 (** [eval_into ?ideal t time] fills [time] (length >= [num_nodes t]) with
     the arrival time of every node under the idealization, in one
-    topological pass over the compiled arrays, allocating nothing.  The
+    topological pass over the flat arrays, allocating nothing.  The
     inner loop is the hot path of every graph-backed cost query: a subset
     sweep calls it once per category subset on one scratch buffer. *)
 let c_evals = Telemetry.counter "graph.evals"
@@ -513,26 +432,25 @@ let eval_into ?(ideal = Category.Set.empty) (t : t) (time : int array) : unit =
   (* one atomic add; keeps this path allocation-free *)
   Telemetry.incr c_evals;
   let s : int = ideal in
-  let c = t.compiled in
-  let nf = Array.length c.f_node in
+  let nf = Array.length t.f_node in
   let fi = ref 0 in
   for v = 0 to n - 1 do
     let best = ref 0 in
     let hi = t.first_in.(v + 1) in
     for k = t.first_in.(v) to hi - 1 do
-      if c.e_removed.(k) land s = 0 then begin
-        let lat = ref c.e_base.(k) in
-        for j = c.e_comp_off.(k) to c.e_comp_off.(k + 1) - 1 do
-          if c.comp_mask.(j) land s = 0 then lat := !lat + c.comp_lat.(j)
+      if t.e_removed.(k) land s = 0 then begin
+        let lat = ref t.e_base.(k) in
+        for j = t.e_comp_off.(k) to t.e_comp_off.(k + 1) - 1 do
+          if t.comp_mask.(j) land s = 0 then lat := !lat + t.comp_lat.(j)
         done;
-        let cand = time.(c.e_src.(k)) + !lat in
+        let cand = time.(t.e_src.(k)) + !lat in
         if cand > !best then best := cand
       end
     done;
-    while !fi < nf && c.f_node.(!fi) = v do
-      let lat = ref c.f_base.(!fi) in
-      for j = c.f_off.(!fi) to c.f_off.(!fi + 1) - 1 do
-        if c.f_comp_mask.(j) land s = 0 then lat := !lat + c.f_comp_lat.(j)
+    while !fi < nf && t.f_node.(!fi) = v do
+      let lat = ref t.f_base.(!fi) in
+      for j = t.f_off.(!fi) to t.f_off.(!fi + 1) - 1 do
+        if t.comp_mask.(j) land s = 0 then lat := !lat + t.comp_lat.(j)
       done;
       if !lat > !best then best := !lat;
       incr fi
@@ -547,8 +465,7 @@ let eval_into ?(ideal = Category.Set.empty) (t : t) (time : int array) : unit =
     (returning [None] leaves the idealized latency in force); it enables
     finer-grained what-if queries than category idealization, e.g. zeroing
     a single instruction's execution latency (Tune et al.'s per-instruction
-    cost).  Without an override the query runs on the compiled flat-array
-    representation. *)
+    cost).  Without an override the query is {!eval_into}. *)
 let eval ?(ideal = Category.Set.empty) ?override (t : t) : int array =
   match override with
   | Some override -> eval_generic ~ideal ~override t
@@ -567,7 +484,7 @@ let critical_length ?ideal ?override (t : t) : int =
 
 (** [eval_subsets_scalar t sets] computes {!critical_length} under every
     idealization in [sets] with one full scalar graph pass per subset,
-    sweeping the compiled graph with one scratch buffer per pool job (zero
+    sweeping the graph with one scratch buffer per pool job (zero
     per-query allocation) and fanning the sweep out across the domain
     pool.  Results are index-aligned with [sets].  This is the reference
     implementation the bit-sliced {!eval_subsets} is checked against (the
@@ -618,8 +535,8 @@ let c_sliced = Telemetry.counter "graph.sliced_evals"
    [max cur (cur + d)] on 63-bit ints), because the taken/not-taken
    pattern of a compare-and-store max is data-dependent noise that
    mispredicts; removing it is what lets a lane update retire in a few
-   ALU ops.  [ktab] only needs rows for masks the compiler emits:
-   singleton category masks ([compile] builds every component and
+   ALU ops.  [ktab] only needs rows for masks the builder emits:
+   singleton category masks ([Builder.add_edge] makes every component and
    removal mask with [cat_mask]) plus row 0 (all [-1]) for
    never-removed edges.
 
@@ -643,8 +560,7 @@ let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
     ~(ext_floors : (int * int array) array) ~(latbuf : int array)
     ~(lset : int array) ~(ktab : int array array) ~(slab : int array) : unit =
   let n = num_nodes t in
-  let c = t.compiled in
-  let nf = Array.length c.f_node in
+  let nf = Array.length t.f_node in
   for l = 0 to nl - 1 do
     lset.(l) <- sets.(lo + l)
   done;
@@ -662,7 +578,7 @@ let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
     done
   done;
   let fi = ref 0 in
-  while !fi < nf && c.f_node.(!fi) < n_pinned do incr fi done;
+  while !fi < nf && t.f_node.(!fi) < n_pinned do incr fi done;
   let nef = Array.length ext_floors in
   let efi = ref 0 in
   while !efi < nef && fst ext_floors.(!efi) < n_pinned do incr efi done;
@@ -676,11 +592,11 @@ let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
     done;
     let hi = t.first_in.(v + 1) in
     for k = t.first_in.(v) to hi - 1 do
-      let rm = Array.unsafe_get c.e_removed k in
-      let base = Array.unsafe_get c.e_base k in
-      let o0 = Array.unsafe_get c.e_comp_off k in
-      let o1 = Array.unsafe_get c.e_comp_off (k + 1) in
-      let soff = Array.unsafe_get c.e_src k * nl in
+      let rm = Array.unsafe_get t.e_removed k in
+      let base = Array.unsafe_get t.e_base k in
+      let o0 = Array.unsafe_get t.e_comp_off k in
+      let o1 = Array.unsafe_get t.e_comp_off (k + 1) in
+      let soff = Array.unsafe_get t.e_src k * nl in
       if o0 = o1 then
         if rm = 0 then
           (* latency identical in every lane: pure streaming max *)
@@ -706,8 +622,8 @@ let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
       else if rm = 0 && o0 + 1 = o1 then begin
         (* one component, never removed: fold the component through its
            keep row inline *)
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask o0) in
-        let d0 = Array.unsafe_get c.comp_lat o0 in
+        let crow = Array.unsafe_get ktab (Array.unsafe_get t.comp_mask o0) in
+        let d0 = Array.unsafe_get t.comp_lat o0 in
         for l = 0 to nl - 1 do
           let cur = Array.unsafe_get slab (boff + l) in
           let d =
@@ -726,8 +642,8 @@ let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
            through the same removal mask unchanged *)
         Array.fill latbuf 0 nl base;
         for j = o0 to o1 - 1 do
-          let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask j) in
-          let d = Array.unsafe_get c.comp_lat j in
+          let crow = Array.unsafe_get ktab (Array.unsafe_get t.comp_mask j) in
+          let d = Array.unsafe_get t.comp_lat j in
           for l = 0 to nl - 1 do
             Array.unsafe_set latbuf l
               (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
@@ -744,13 +660,13 @@ let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
         done
       end
     done;
-    while !fi < nf && c.f_node.(!fi) = v do
-      let fb = c.f_base.(!fi) in
-      let j0 = c.f_off.(!fi) and j1 = c.f_off.(!fi + 1) in
+    while !fi < nf && t.f_node.(!fi) = v do
+      let fb = t.f_base.(!fi) in
+      let j0 = t.f_off.(!fi) and j1 = t.f_off.(!fi + 1) in
       Array.fill latbuf 0 nl fb;
       for j = j0 to j1 - 1 do
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.f_comp_mask j) in
-        let d = Array.unsafe_get c.f_comp_lat j in
+        let crow = Array.unsafe_get ktab (Array.unsafe_get t.comp_mask j) in
+        let d = Array.unsafe_get t.comp_lat j in
         for l = 0 to nl - 1 do
           Array.unsafe_set latbuf l
             (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
@@ -776,7 +692,7 @@ let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
 
 (* ---------- packed (SWAR) lanes ---------- *)
 
-(* When the compiled graph can prove every arrival time stays below 2^20
+(* When the graph can prove every arrival time stays below 2^20
    ([lat_bound]), three lanes share one 63-bit word: 21-bit fields at bits
    0/21/42, each a 20-bit value plus one guard bit.  All lane values are
    non-negative and bounded, so field sums never carry across field
@@ -813,8 +729,7 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
     ~(slab : int array) ~(latbuf : int array) ~(lset : int array)
     ~(ktab : int array array) (out : int array) : unit =
   let n = num_nodes t in
-  let c = t.compiled in
-  let nf = Array.length c.f_node in
+  let nf = Array.length t.f_node in
   let pw = (nl + 2) / 3 in
   for l = 0 to (3 * pw) - 1 do
     lset.(l) <- sets.(lo + min l (nl - 1))
@@ -842,11 +757,11 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
       done
     else
       for k = k0 to hi - 1 do
-        let rm = Array.unsafe_get c.e_removed k in
-        let o0 = Array.unsafe_get c.e_comp_off k in
-        let o1 = Array.unsafe_get c.e_comp_off (k + 1) in
-        let soff = Array.unsafe_get c.e_src k * pw in
-        let baserep = Array.unsafe_get c.e_base k * sw_rep in
+        let rm = Array.unsafe_get t.e_removed k in
+        let o0 = Array.unsafe_get t.e_comp_off k in
+        let o1 = Array.unsafe_get t.e_comp_off (k + 1) in
+        let soff = Array.unsafe_get t.e_src k * pw in
+        let baserep = Array.unsafe_get t.e_base k * sw_rep in
         if o0 = o1 then
           if rm = 0 then
             if k = k0 then
@@ -879,8 +794,8 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
               done
           end
         else if rm = 0 && o0 + 1 = o1 then begin
-          let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask o0) in
-          let d0 = Array.unsafe_get c.comp_lat o0 * sw_rep in
+          let crow = Array.unsafe_get ktab (Array.unsafe_get t.comp_mask o0) in
+          let d0 = Array.unsafe_get t.comp_lat o0 * sw_rep in
           if k = k0 then
             for w = 0 to pw - 1 do
               Array.unsafe_set slab (boff + w)
@@ -905,9 +820,9 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
           done;
           for j = o0 to o1 - 1 do
             let crow =
-              Array.unsafe_get ktab (Array.unsafe_get c.comp_mask j)
+              Array.unsafe_get ktab (Array.unsafe_get t.comp_mask j)
             in
-            let d = Array.unsafe_get c.comp_lat j * sw_rep in
+            let d = Array.unsafe_get t.comp_lat j * sw_rep in
             for w = 0 to pw - 1 do
               Array.unsafe_set latbuf w
                 (Array.unsafe_get latbuf w + (d land Array.unsafe_get crow w))
@@ -931,15 +846,15 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
             done
         end
       done;
-    while !fi < nf && c.f_node.(!fi) = v do
-      let fb = c.f_base.(!fi) * sw_rep in
-      let j0 = c.f_off.(!fi) and j1 = c.f_off.(!fi + 1) in
+    while !fi < nf && t.f_node.(!fi) = v do
+      let fb = t.f_base.(!fi) * sw_rep in
+      let j0 = t.f_off.(!fi) and j1 = t.f_off.(!fi + 1) in
       for w = 0 to pw - 1 do
         Array.unsafe_set latbuf w fb
       done;
       for j = j0 to j1 - 1 do
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.f_comp_mask j) in
-        let d = Array.unsafe_get c.f_comp_lat j * sw_rep in
+        let crow = Array.unsafe_get ktab (Array.unsafe_get t.comp_mask j) in
+        let d = Array.unsafe_get t.comp_lat j * sw_rep in
         for w = 0 to pw - 1 do
           Array.unsafe_set latbuf w
             (Array.unsafe_get latbuf w + (d land Array.unsafe_get crow w))
@@ -963,8 +878,8 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
 
 (** [eval_slices ?lanes t sets] is {!eval_subsets_scalar} computed
     bit-sliced: each pool chunk prices up to [lanes] subsets (clamped to
-    1..{!max_lanes}, default {!max_lanes}) per pass over the compiled
-    edge arrays.  Per lane the recurrence is identical to the scalar
+    1..{!max_lanes}, default {!max_lanes}) per pass over the edge
+    arrays.  Per lane the recurrence is identical to the scalar
     pass, so results are bit-identical regardless of [lanes] or the pool
     job count; chunks write disjoint slices of the output. *)
 let eval_slices ?(lanes = max_lanes) (t : t) (sets : Category.Set.t array) :
@@ -978,7 +893,7 @@ let eval_slices ?(lanes = max_lanes) (t : t) (sets : Category.Set.t array) :
     (* the packed path needs every arrival time (+1 for the reported
        critical length) to fit a 20-bit field *)
     let packed =
-      t.compiled.lat_bound >= 0 && t.compiled.lat_bound + 1 <= sw_vmax
+      t.lat_bound >= 0 && t.lat_bound + 1 <= sw_vmax
     in
     let nchunks = (m + lanes - 1) / lanes in
     Icost_util.Pool.parallel_chunks nchunks (fun ~lo ~hi ->
@@ -989,7 +904,7 @@ let eval_slices ?(lanes = max_lanes) (t : t) (sets : Category.Set.t array) :
           let lset = Array.make (3 * pwmax) 0 in
           (* keep rows: one per singleton category mask, refreshed per
              chunk, plus a constant all-keep row shared by every mask the
-             compiler never emits (only row 0 is ever dereferenced) *)
+             builder never emits (only row 0 is ever dereferenced) *)
           let keep_all = Array.make pwmax sw_keep in
           let ktab = Array.make 256 keep_all in
           for ci = 0 to Category.count - 1 do
@@ -1068,14 +983,13 @@ let slacks ?(ideal = Category.Set.empty) (t : t) : int array =
   let latest = Array.make n max_int in
   if n > 0 then latest.(n - 1) <- cp;
   for v = n - 1 downto 0 do
-    let lo = t.first_in.(v) and hi = t.first_in.(v + 1) in
-    for k = lo to hi - 1 do
-      let e = t.edges.(k) in
-      match edge_latency ideal e with
+    for k = t.first_in.(v) to t.first_in.(v + 1) - 1 do
+      match latency t ideal k with
       | None -> ()
       | Some lat ->
-        if latest.(v) <> max_int && latest.(v) - lat < latest.(e.src) then
-          latest.(e.src) <- latest.(v) - lat
+        let src = t.e_src.(k) in
+        if latest.(v) <> max_int && latest.(v) - lat < latest.(src) then
+          latest.(src) <- latest.(v) - lat
     done
   done;
   Array.init n (fun v ->
@@ -1090,23 +1004,16 @@ let critical_path ?(ideal = Category.Set.empty) (t : t) : (int * edge_kind optio
     let time = eval ~ideal t in
     let rec walk v acc =
       let hi = t.first_in.(v + 1) in
-      let pred = ref None in
-      let found = ref false in
-      let k = ref t.first_in.(v) in
-      (* stop at the first (earliest) incoming edge on the critical path *)
-      while (not !found) && !k < hi do
-        let e = t.edges.(!k) in
-        (match edge_latency ideal e with
-         | None -> ()
-         | Some lat ->
-           if time.(e.src) + lat = time.(v) then begin
-             pred := Some e;
-             found := true
-           end);
-        incr k
-      done;
-      match !pred with
-      | Some e when time.(v) > 0 -> walk e.src ((v, Some e.kind) :: acc)
+      (* the first (earliest) incoming edge on the critical path *)
+      let rec pred k =
+        if k >= hi then None
+        else
+          match latency t ideal k with
+          | Some lat when time.(t.e_src.(k)) + lat = time.(v) -> Some k
+          | _ -> pred (k + 1)
+      in
+      match pred t.first_in.(v) with
+      | Some k when time.(v) > 0 -> walk t.e_src.(k) ((v, Some t.e_kind.(k)) :: acc)
       | _ -> (v, None) :: acc
     in
     walk (node ~seq:(t.num_instrs - 1) ~kind:C) []
@@ -1116,13 +1023,19 @@ let critical_path ?(ideal = Category.Set.empty) (t : t) : (int * edge_kind optio
 let edge_histogram (t : t) =
   let tbl = Hashtbl.create 12 in
   Array.iter
-    (fun e ->
-      Hashtbl.replace tbl e.kind
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl e.kind)))
-    t.edges;
+    (fun kind ->
+      Hashtbl.replace tbl kind
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl kind)))
+    t.e_kind;
   tbl
 
-let num_edges t = Array.length t.edges
+(* [f v k] for every edge, in CSR order ([v] is its destination). *)
+let iter_edges t f =
+  for v = 0 to num_nodes t - 1 do
+    for k = t.first_in.(v) to t.first_in.(v + 1) - 1 do
+      f v k
+    done
+  done
 
 (** Graphviz DOT rendering (for small graphs, e.g. the Figure 2 demo).
     Critical-path edges are drawn bold. *)
@@ -1152,14 +1065,13 @@ let to_dot ?(ideal = Category.Set.empty) (t : t) : string =
       node_kinds;
     Buffer.add_string buf " }\n"
   done;
-  Array.iter
-    (fun e ->
-      let lat = Option.value ~default:0 (edge_latency ideal e) in
+  iter_edges t (fun dst k ->
+      let src = t.e_src.(k) in
+      let lat = Option.value ~default:0 (latency t ideal k) in
       Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [label=\"%s:%d\"%s];\n" e.src e.dst
-           (edge_kind_name e.kind) lat
-           (if on_cp e.src e.dst then " penwidth=3" else "")))
-    t.edges;
+        (Printf.sprintf "  n%d -> n%d [label=\"%s:%d\"%s];\n" src dst
+           (edge_kind_name t.e_kind.(k)) lat
+           (if on_cp src dst then " penwidth=3" else "")));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
@@ -1176,12 +1088,10 @@ let pp_small ppf ?(ideal = Category.Set.empty) (t : t) =
       node_kinds;
     Format.fprintf ppf "@,"
   done;
-  Array.iter
-    (fun e ->
-      match edge_latency ideal e with
+  iter_edges t (fun dst k ->
+      match latency t ideal k with
       | None -> ()
       | Some lat ->
-        Format.fprintf ppf "%s -> %s  %s lat=%d@," (node_name e.src) (node_name e.dst)
-          (edge_kind_name e.kind) lat)
-    t.edges;
+        Format.fprintf ppf "%s -> %s  %s lat=%d@," (node_name t.e_src.(k))
+          (node_name dst) (edge_kind_name t.e_kind.(k)) lat);
   Format.fprintf ppf "@]"

@@ -36,6 +36,8 @@ val edge_kind_name : edge_kind -> string
     zeroes the component. *)
 type component = { cat : Category.t; lat : int }
 
+(** One edge, as a record built on demand from the flat arrays (see
+    {!edge}); the graph itself stores no records. *)
 type edge = {
   src : int;  (** node id *)
   dst : int;
@@ -47,24 +49,17 @@ type edge = {
           idealized *)
 }
 
-type compiled
-(** Flat-int-array form of the edge/floor latency data, precomputed at
-    {!Builder.finish} time and used by the allocation-free evaluation
-    path ({!eval_into}, {!eval_subsets}). *)
+type t
+(** A finished graph, held once, in flat arrays: a CSR index of each
+    node's in-edges; per edge its source, kind, base latency, removal
+    category and slice of category-owned components; node-sorted floors
+    (minimum arrival times for nodes whose stall has no incoming edge to
+    ride on, e.g. the first instruction's I-cache miss); and a certified
+    latency bound that lets {!eval_slices} pack lanes.  Every query reads
+    these arrays; the allocation-free paths ({!eval_into},
+    {!eval_subsets}, {!eval_lanes_pinned}) read nothing else. *)
 
-type t = {
-  num_instrs : int;
-  edges : edge array;  (** sorted by [dst] *)
-  first_in : int array;
-      (** CSR index: incoming edges of node [v] are
-          [edges.(first_in.(v)) .. edges.(first_in.(v+1) - 1)] *)
-  floors : (int * int * component list) list;
-      (** (node, base, components): minimum arrival times for nodes whose
-          stall has no incoming edge to ride on (e.g. the first
-          instruction's I-cache miss) *)
-  compiled : compiled;
-}
-
+val num_instrs : t -> int
 val num_nodes : t -> int
 val num_edges : t -> int
 
@@ -75,9 +70,12 @@ val seq_of_node : int -> int
 val kind_of_node : int -> node_kind
 val node_name : int -> string
 
-val edge_latency : Category.Set.t -> edge -> int option
-(** Effective latency under an idealization; [None] if the edge is
-    removed. *)
+val edge : t -> int -> edge
+(** [edge g k] is the [k]th edge in CSR order (the in-edges of node 0,
+    then of node 1, ...; each node's in-edges in reverse emission order),
+    [0 <= k < num_edges g].  Builds a fresh record: for inspection, not for
+    inner loops.
+    @raise Invalid_argument when [k] is out of range. *)
 
 (** Incremental construction; see {!Build} for the high-level entry
     points. *)
@@ -101,18 +99,20 @@ module Builder : sig
       topological order. *)
 
   val add_floor : b -> node:int -> base:int -> components:component list -> unit
+
   val finish : b -> t
+  (** Counting-sort the appended edges by destination straight into the
+      graph's arrays. *)
 end
 
 val marshal : t -> string
-(** Compact byte serialization for snapshotting.  The derived compiled
-    arrays are dropped (rebuilt by {!unmarshal}) and edge records are
-    transposed into flat int arrays so decoding is allocation-cheap:
-    the result is ~40% smaller and ~2x faster to load than
-    [Marshal.to_string] of the whole graph. *)
+(** Byte image for snapshotting: a [Marshal] of the flat arrays, which
+    decode as a handful of large blocks. *)
 
 val unmarshal : string -> t
-(** Inverse of {!marshal}; recompiles the flat evaluation arrays.
+(** Inverse of {!marshal}.  Checks the image's shape (array lengths
+    against the node and edge counts, offsets inside their arrays,
+    sources before destinations, singleton category masks).
     @raise Failure on malformed bytes.  Callers must authenticate the
     bytes first (e.g. a digest check) — this is not hardened against
     adversarial input. *)
@@ -121,11 +121,12 @@ val eval : ?ideal:Category.Set.t -> ?override:(edge -> int option) -> t -> int a
 (** Arrival time of every node under the idealization (default none), in
     one topological pass.  [override] may replace an edge's latency
     ([None] keeps the idealized latency), enabling finer what-if queries
-    than category idealization. *)
+    than category idealization; it sees every edge once, removed ones
+    included, in {!edge} order. *)
 
 val eval_into : ?ideal:Category.Set.t -> t -> int array -> unit
 (** Like {!eval}, but fills a caller-provided scratch buffer (length >=
-    {!num_nodes}) from the compiled representation, allocating nothing.
+    {!num_nodes}), allocating nothing.
     Use for repeated what-if queries over one graph.
     @raise Invalid_argument if the buffer is too short. *)
 
@@ -136,7 +137,7 @@ val critical_length : ?ideal:Category.Set.t -> ?override:(edge -> int option) ->
 val eval_subsets : t -> Category.Set.t array -> int array
 (** [eval_subsets t sets] is [Array.map (fun s -> critical_length ~ideal:s t) sets],
     computed bit-sliced ({!eval_slices} with the default lane count): each
-    pass over the compiled edge arrays prices up to {!max_lanes} subsets at
+    pass over the edge arrays prices up to {!max_lanes} subsets at
     once, so a 256-subset sweep is 4 edge-array streams instead of 256.
     Bit-identical to {!eval_subsets_scalar} (checked by the
     [sliced-eval-exact] conformance law). *)

@@ -59,23 +59,23 @@ let seq_set (t : t) (static_ixs : int list) : (int, unit) Hashtbl.t =
     static_ixs;
   set
 
+let hits_override (cfg : Config.t) seqs (e : Graph.edge) =
+  match e.kind with
+  | Graph.EP when Hashtbl.mem seqs (Graph.seq_of_node e.dst) ->
+    (* reduce the load to its hit latency *)
+    Some cfg.dl1_lat
+  | Graph.PP when Hashtbl.mem seqs (Graph.seq_of_node e.src) ->
+    (* the covering miss is gone, so the sharing constraint is too;
+       keeping the edge at latency 0 is harmless but we drop its effect
+       by zeroing it explicitly *)
+    Some 0
+  | _ -> None
+
 (** [miss_cost t ixs] is the speedup (cycles) from turning every D-cache
     miss of the static loads [ixs] into a hit — the benefit of perfectly
     prefetching those loads. *)
 let miss_cost (t : t) (static_ixs : int list) : int =
-  let set = seq_set t static_ixs in
-  let override (e : Graph.edge) =
-    match e.kind with
-    | Graph.EP when Hashtbl.mem set (Graph.seq_of_node e.dst) ->
-      (* reduce the load to its hit latency *)
-      Some t.cfg.dl1_lat
-    | Graph.PP when Hashtbl.mem set (Graph.seq_of_node e.src) ->
-      (* the covering miss is gone, so the sharing constraint is too;
-         keeping the edge at latency 0 is harmless but we drop its effect
-         by zeroing it explicitly *)
-      Some 0
-    | _ -> None
-  in
+  let override = hits_override t.cfg (seq_set t static_ixs) in
   t.base - Graph.critical_length ~override t.graph
 
 (** Interaction cost between two static loads' miss sets. *)
@@ -87,13 +87,7 @@ let miss_icost (t : t) a b : int =
     loads whose misses {e serially} interact with branch mispredictions:
     prefetching them also shortens branch resolution). *)
 let category_icost (t : t) static_ix (cat : Category.t) : int =
-  let set = seq_set t [ static_ix ] in
-  let override (e : Graph.edge) =
-    match e.kind with
-    | Graph.EP when Hashtbl.mem set (Graph.seq_of_node e.dst) -> Some t.cfg.dl1_lat
-    | Graph.PP when Hashtbl.mem set (Graph.seq_of_node e.src) -> Some 0
-    | _ -> None
-  in
+  let override = hits_override t.cfg (seq_set t [ static_ix ]) in
   let ideal = Category.Set.singleton cat in
   let cost_load = t.base - Graph.critical_length ~override t.graph in
   let cost_cat = t.base - Graph.critical_length ~ideal t.graph in

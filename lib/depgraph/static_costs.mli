@@ -24,6 +24,11 @@ val missing_loads : t -> (int * int) list
 (** Static loads that missed, with dynamic miss counts, most frequent
     first. *)
 
+val hits_override : Config.t -> (int, unit) Hashtbl.t -> Graph.edge -> int option
+(** The [?override] that turns the D-cache misses of the dynamic loads
+    in the set (by sequence number) into hits: their EP edges drop to the
+    L1 hit latency and the PP edges their misses covered to 0. *)
+
 val miss_cost : t -> int list -> int
 (** Cycles saved by turning every D-cache miss of the given static loads
     into a hit (the benefit of perfectly prefetching them). *)

@@ -67,12 +67,7 @@ let study_one (s : Runner.settings) (cfg : Config.t) name : row =
     (fun i (e : Events.evt) ->
       if e.dl1_miss && not evts_pf.(i).dl1_miss then Hashtbl.replace removed i ())
     evts;
-  let override (e : Graph.edge) =
-    match e.kind with
-    | Graph.EP when Hashtbl.mem removed (Graph.seq_of_node e.dst) -> Some cfg.dl1_lat
-    | Graph.PP when Hashtbl.mem removed (Graph.seq_of_node e.src) -> Some 0
-    | _ -> None
-  in
+  let override = Icost_depgraph.Static_costs.hits_override cfg removed in
   let base_cp = Graph.critical_length graph in
   let predicted =
     100.

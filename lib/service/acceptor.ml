@@ -98,7 +98,8 @@ type t = {
   wake_w : Unix.file_descr;
   stop : bool Atomic.t;
   conns_mutex : Mutex.t;
-  mutable conns : (conn * Thread.t) list;
+  conns : (int, conn * Thread.t) Hashtbl.t;  (* live connections, by id *)
+  mutable next_id : int;
 }
 
 let create listeners =
@@ -109,7 +110,8 @@ let create listeners =
     wake_w;
     stop = Atomic.make false;
     conns_mutex = Mutex.create ();
-    conns = [];
+    conns = Hashtbl.create 16;
+    next_id = 0;
   }
 
 let request_stop t =
@@ -133,6 +135,11 @@ let spawn_conn t fd on_conn =
       parked = Hashtbl.create 8;
     }
   in
+  (* the record is registered before its thread can finish, and the
+     thread drops it on exit, so only live connections are kept *)
+  Mutex.lock t.conns_mutex;
+  let id = t.next_id in
+  t.next_id <- id + 1;
   let th =
     Thread.create
       (fun () ->
@@ -140,11 +147,13 @@ let spawn_conn t fd on_conn =
         Mutex.lock c.wmutex;
         c.alive <- false;
         Mutex.unlock c.wmutex;
-        try Unix.close c.fd with Unix.Unix_error _ -> ())
+        (try Unix.close c.fd with Unix.Unix_error _ -> ());
+        Mutex.lock t.conns_mutex;
+        Hashtbl.remove t.conns id;
+        Mutex.unlock t.conns_mutex)
       ()
   in
-  Mutex.lock t.conns_mutex;
-  t.conns <- (c, th) :: t.conns;
+  Hashtbl.replace t.conns id (c, th);
   Mutex.unlock t.conns_mutex
 
 let serve t ~on_conn =
@@ -177,8 +186,8 @@ let serve t ~on_conn =
 
 let finish t =
   Mutex.lock t.conns_mutex;
-  let conns = t.conns in
-  t.conns <- [];
+  let conns = Hashtbl.fold (fun _ ct acc -> ct :: acc) t.conns [] in
+  Hashtbl.reset t.conns;
   Mutex.unlock t.conns_mutex;
   List.iter
     (fun ((c : conn), _) ->

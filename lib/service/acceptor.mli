@@ -6,7 +6,8 @@
 
     - a [select]-driven accept loop over any number of listeners, woken
       by a self-pipe on stop;
-    - a thread per connection, tracked for join-at-shutdown;
+    - a thread per connection, tracked while it runs (a finished
+      connection drops its record) for join-at-shutdown;
     - bounded line reading (the icost.rpc.v1 request cap);
     - {b sequence-ordered reply writes}: the connection reader assigns
       each request a sequence number, and replies — produced inline or

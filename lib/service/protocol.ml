@@ -25,6 +25,8 @@ let default_target =
     seed = Icost_profiler.Sampler.default_opts.seed;
   }
 
+let prep_key tg = Printf.sprintf "%s|w%d|m%d" tg.workload tg.warmup tg.measure
+
 type op =
   | Breakdown of { target : target; focus : string }
   | Icost of { target : target; sets : string list }
@@ -442,6 +444,17 @@ let encode_batch_result ~(results : (string, error_code * string) result list)
 let encode_batch_reply ~rep_id
     ~(results : (string, error_code * string) result list) : string =
   encode_ok_reply ~rep_id ~result:(encode_batch_result ~results)
+
+(* ---------- raw frames ----------
+
+   Control ops and error codes are recognized in the frame text, without
+   a decode. *)
+
+let has_substring line needle =
+  let n = String.length line and m = String.length needle in
+  let rec matches i j = j = m || (line.[i + j] = needle.[j] && matches i (j + 1)) in
+  let rec from i = i + m <= n && (matches i 0 || from (i + 1)) in
+  from 0
 
 (* ---------- frame identity ----------
 

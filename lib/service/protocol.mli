@@ -53,6 +53,12 @@ type target = {
 val default_target : target
 (** [workload] is [""] (no default — requests without one are rejected). *)
 
+val prep_key : target -> string
+(** [workload|w<warmup>|m<measure>]: what a preparation depends on.  The
+    server keys its prep cache by it and the router places shards by it,
+    so every variant and engine of one prepared workload share a shard and
+    that shard's prep cache. *)
+
 type op =
   | Breakdown of { target : target; focus : string }
       (** Table 4-style breakdown; [focus] selects the interaction rows. *)
@@ -273,6 +279,11 @@ val encode_batch_reply :
   results:(string, error_code * string) result list ->
   string
 (** [encode_batch_result] wrapped in a success envelope. *)
+
+val has_substring : string -> string -> bool
+(** [has_substring line needle]: whether [needle] occurs in [line].  An
+    allocation-free scan, for classifying raw frames (control ops, error
+    codes) without decoding them. *)
 
 val split_frame_id : string -> (int * int) option
 (** [Some (id, pos)] when the line starts with the canonical

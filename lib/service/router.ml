@@ -51,8 +51,7 @@ let shard_of_key ~shards key =
 
 (* The preparation key, not the full session key: all variants/engines of
    one prepared workload share a shard (and that shard's prep cache). *)
-let route_key (tg : P.target) =
-  Printf.sprintf "%s|w%d|m%d" tg.workload tg.warmup tg.measure
+let route_key = P.prep_key
 
 let shard_socket public i = Printf.sprintf "%s.shard%d" public i
 
@@ -282,24 +281,12 @@ let write_breaker_reply c ~seq ~id sh retry_after_ms =
   Acceptor.write_line c ~seq
     (P.encode_error_reply ~rep_id:id code msg ~retry_after_ms ^ "\n")
 
-let has_substring line needle =
-  let n = String.length line and m = String.length needle in
-  let i = ref 0 and found = ref false in
-  while (not !found) && !i + m <= n do
-    let j = ref 0 in
-    while !j < m && line.[!i + !j] = needle.[!j] do
-      incr j
-    done;
-    if !j = m then found := true else incr i
-  done;
-  !found
-
 (* A relayed frame only comes back [shutting_down] when the shard itself
    is draining — and a shard drains for exactly two reasons: the whole
    service is going down (don't retry), or the supervisor is cycling it
    and a replacement is seconds away (park and re-deliver).  Detected
    textually: the reply is relayed verbatim, never decoded. *)
-let is_shutting_down_line line = has_substring line "\"code\":\"shutting_down\""
+let is_shutting_down_line line = P.has_substring line "\"code\":\"shutting_down\""
 
 (* Forward one frame verbatim to shard [sh] and relay the shard's reply
    line untouched — byte-identical to asking the shard directly.  A dead,

@@ -86,9 +86,9 @@ val shard_of_key : shards:int -> string -> int
     across restarts and processes (no randomized seed). *)
 
 val route_key : Protocol.target -> string
-(** The routing key of a target: its preparation key
-    [workload|w<warmup>|m<measure>] — variant/engine/seed intentionally
-    excluded so all sessions of one prepared workload share a shard. *)
+(** The routing key of a target: {!Protocol.prep_key}, the key of the
+    shard's prep cache — variant/engine/seed intentionally excluded so all
+    sessions of one prepared workload share a shard. *)
 
 val shard_socket : string -> int -> string
 (** [shard_socket public i] is shard [i]'s private socket path. *)

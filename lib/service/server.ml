@@ -133,23 +133,11 @@ let fp_shard_exit = Fault.point "shard_exit"
    count: the supervisor's own health probes (and other control frames)
    must not perturb a deterministic @K schedule. *)
 
-let has_sub line needle =
-  let n = String.length line and m = String.length needle in
-  let i = ref 0 and found = ref false in
-  while (not !found) && !i + m <= n do
-    let j = ref 0 in
-    while !j < m && line.[!i + !j] = needle.[!j] do
-      incr j
-    done;
-    if !j = m then found := true else incr i
-  done;
-  !found
-
 let control_frame line =
-  has_sub line "\"op\":\"health\""
-  || has_sub line "\"op\":\"status\""
-  || has_sub line "\"op\":\"drain\""
-  || has_sub line "\"op\":\"shutdown\""
+  P.has_substring line "\"op\":\"health\""
+  || P.has_substring line "\"op\":\"status\""
+  || P.has_substring line "\"op\":\"drain\""
+  || P.has_substring line "\"op\":\"shutdown\""
 
 (* ---------- request validation ---------- *)
 
@@ -184,13 +172,6 @@ let set_of_spec spec =
 
 (* ---------- session construction (the cached preparation path) ---------- *)
 
-(* Cache keys nest: prep ⊂ session, so a session hit implies agreement
-   on everything its preparation depends on.  The seed only reaches the
-   profiler's sampling PRNG, so non-profiler sessions normalize it away
-   rather than splitting the cache. *)
-let prep_key (tg : P.target) =
-  Printf.sprintf "%s|w%d|m%d" tg.workload tg.warmup tg.measure
-
 (* The four variant constants cover every non-sweep request, so their
    digests are precomputed once — the digest sits on the per-item hot
    path twice (breaker key + session lookup).  Anything else (sweep
@@ -216,11 +197,15 @@ let cfg_digest =
    (or a prep entry) even when every human-visible field matches, so the
    digest does the separating. *)
 let sweep_point_key (tg : P.target) cfg ~engine =
-  Printf.sprintf "%s|%s|%s" (prep_key tg) (cfg_digest cfg) engine
+  Printf.sprintf "%s|%s|%s" (P.prep_key tg) (cfg_digest cfg) engine
 
+(* Cache keys nest: prep ({!P.prep_key}) ⊂ session, so a session hit
+   implies agreement on everything its preparation depends on.  The seed
+   only reaches the profiler's sampling PRNG, so non-profiler sessions
+   normalize it away rather than splitting the cache. *)
 let session_key (tg : P.target) cfg kind =
   let seed = match kind with Runner.Profiler -> tg.seed | _ -> 0 in
-  Printf.sprintf "%s|%s|%s|s%d" (prep_key tg) (cfg_digest cfg)
+  Printf.sprintf "%s|%s|%s|s%d" (P.prep_key tg) (cfg_digest cfg)
     (Runner.oracle_kind_name kind) seed
 
 let prepared_of t (tg : P.target) =
@@ -228,7 +213,7 @@ let prepared_of t (tg : P.target) =
   let settings =
     { Runner.warmup = tg.warmup; measure = tg.measure; benches = [ tg.workload ] }
   in
-  Cache.find_or_add t.prep_cache (prep_key tg) (fun () ->
+  Cache.find_or_add t.prep_cache (P.prep_key tg) (fun () ->
       Runner.prepare settings w)
 
 (* One establishment path with or without a snapshot store: preparation
@@ -247,7 +232,7 @@ let session_of t (tg : P.target) : session =
           ()
       in
       if est.Snapshot.est_disk = `Hit then
-        Cache.add t.prep_cache (prep_key tg) est.Snapshot.est_prepared;
+        Cache.add t.prep_cache (P.prep_key tg) est.Snapshot.est_prepared;
       { est; skey; gstats = Atomic.make None })
 
 (* Re-save the session's snapshot when an analysis grew its memo table,

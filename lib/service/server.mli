@@ -17,7 +17,7 @@
     - {b session}: prep key + config digest + engine + seed -> the
       established {!Snapshot} session: memoized oracle (whose memo holds
       every subset it has priced) and, for the graph engine, the
-      compiled graph.  Built through one path with or without a snapshot
+      dependence graph.  Built through one path with or without a snapshot
       store; a disk hit seeds the prep cache with the loaded execution;
     - {b frames}: canonical frame text minus its id -> encoded result
       fragment of a frame whose items all succeeded, answered inline by
@@ -104,8 +104,8 @@ val sweep_point_key :
     [workload|warmup|measure|config-digest(point)|engine].  The digest
     marshals the whole config record, so two points differing in {e any}
     swept field get distinct keys (asserted by the test suite), and a
-    sweep point can never alias a prep entry ([prep_key] has no digest
-    segment). *)
+    sweep point can never alias a prep entry ({!Protocol.prep_key} has no
+    digest segment). *)
 
 val session_key :
   Protocol.target ->

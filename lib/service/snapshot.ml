@@ -1,4 +1,4 @@
-(* Persistent compiled-graph snapshots.  See snapshot.mli for the format. *)
+(* Persistent graph snapshots.  See snapshot.mli for the format. *)
 
 module Telemetry = Icost_util.Telemetry
 module Category = Icost_core.Category
@@ -12,7 +12,7 @@ module Sampler = Icost_profiler.Sampler
 module Stream_core = Icost_stream.Core
 module Runner = Icost_experiments.Runner
 
-let magic = "icost.graphcache.v1\n"
+let magic = "icost.graphcache.v2\n"
 
 type payload = {
   engine : string;

@@ -1,9 +1,9 @@
-(** Persistent compiled-graph snapshots — the [icost.graphcache.v1] format.
+(** Persistent graph snapshots — the [icost.graphcache.v2] format.
 
     A snapshot captures everything a session needs to answer queries
     without re-running the expensive preparation pipeline: the prepared
-    workload (interpreted trace + annotated events), the compiled
-    dependence graph (fullgraph engine) and the memoized subset-time
+    workload (interpreted trace + annotated events), the dependence
+    graph's flat arrays (fullgraph engine) and the memoized subset-time
     table the session has accumulated.  Snapshots are keyed by the same
     [workload|window|config-digest|engine|seed] string as the server's
     session cache, so [icost serve --cache-dir] warm-starts after a
@@ -12,7 +12,7 @@
     {2 File format}
 
     {v
-    "icost.graphcache.v1\n"                         magic + version
+    "icost.graphcache.v2\n"                         magic + version
     8-byte big-endian length | 16-byte MD5 | bytes   section: session key
     8-byte big-endian length | 16-byte MD5 | bytes   section: payload
     v}
@@ -24,6 +24,9 @@
     directory and [rename] into place, so readers never observe a
     partial snapshot.  Any rejection ([`Reject]) or absence ([`Miss])
     falls back to a clean rebuild; a snapshot is never load-bearing.
+    Version 2 stores the graph as {!Icost_depgraph.Graph.marshal}'s image
+    of its flat arrays; a version 1 file (boxed edge records) is rejected
+    for its magic, quarantined and rebuilt once.
 
     A rejected file is additionally {b quarantined}: renamed to
     [<file>.quarantined] (atomic, evidence kept for post-mortems) so the
@@ -41,9 +44,7 @@ type payload = {
   key : string;  (** full session key; verified against the request *)
   prepared : Icost_experiments.Runner.prepared;
   graph : string option;
-      (** {!Icost_depgraph.Graph.marshal} bytes, fullgraph engine only —
-          the compact transposed form loads ~2x faster than a direct
-          [Marshal] image of the graph *)
+      (** {!Icost_depgraph.Graph.marshal} bytes, fullgraph engine only *)
   memo : (Icost_core.Category.Set.t * float) array;
       (** memoized subset times, {!Icost_core.Cost.memo_entries} order *)
 }

@@ -29,7 +29,7 @@ let test_node_codec () =
 let test_edge_counts () =
   let cfg = Config.default in
   let _, _, _, g = graph_of "gcc" in
-  let n = g.Graph.num_instrs in
+  let n = Graph.num_instrs g in
   let h = Graph.edge_histogram g in
   let count k = Option.value ~default:0 (Hashtbl.find_opt h k) in
   Alcotest.(check int) "DD edges" (n - 1) (count Graph.DD);
@@ -47,15 +47,15 @@ let test_edge_counts () =
 
 let test_edges_point_forward () =
   let _, _, _, g = graph_of "parser" in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      if e.src >= e.dst then Alcotest.failf "edge not forward: %d -> %d" e.src e.dst)
-    g.Graph.edges
+  for k = 0 to Graph.num_edges g - 1 do
+    let e = Graph.edge g k in
+    if e.src >= e.dst then Alcotest.failf "edge not forward: %d -> %d" e.src e.dst
+  done
 
 let test_eval_monotone_nodes () =
   let _, _, _, g = graph_of "gzip" in
   let time = Graph.eval g in
-  for i = 0 to g.Graph.num_instrs - 1 do
+  for i = 0 to Graph.num_instrs g - 1 do
     let t k = time.(Graph.node ~seq:i ~kind:k) in
     if
       not
@@ -112,7 +112,7 @@ let test_critical_path_valid () =
   (* path ends at the last C node *)
   let last_node = fst (List.nth cp (List.length cp - 1)) in
   Alcotest.(check int) "ends at final commit"
-    (Graph.node ~seq:(g.Graph.num_instrs - 1) ~kind:Graph.C)
+    (Graph.node ~seq:(Graph.num_instrs g - 1) ~kind:Graph.C)
     last_node;
   (* times along the path never decrease *)
   let rec check = function
@@ -232,6 +232,81 @@ let test_sliced_unpacked_fallback () =
         (Graph.eval_slices ~lanes g all_subsets = reference))
     [ 1; 5; 32; 64 ]
 
+(* ---- golden pin of the graph ---- *)
+
+let fnv32 = Kernel_util_shim.fnv32
+let chars s = Seq.map Char.code (String.to_seq s)
+
+(* A 5k-instruction measurement window after [warmup] instructions, the
+   way a served breakdown builds its graph. *)
+let window_graph ~warmup name =
+  let s = { Icost_experiments.Runner.warmup; measure = 5000; benches = [ name ] } in
+  Icost_experiments.Runner.graph_of Config.default
+    (Icost_experiments.Runner.prepare s (Icost_workloads.Workload.find_exn name))
+
+(* Every edge's (src, dst, kind, base, components, removed_by), visited in
+   CSR order through the override hook (which sees every edge and, by
+   answering [None], leaves every latency as it is). *)
+let edges_hash g =
+  let acc = ref [] in
+  ignore
+    (Graph.eval
+       ~override:(fun (e : Graph.edge) ->
+         let comps =
+           List.concat_map
+             (fun (c : Graph.component) -> [ Category.to_int c.cat; c.lat ])
+             e.components
+         in
+         let removed =
+           match e.removed_by with None -> -1 | Some c -> Category.to_int c
+         in
+         acc :=
+           List.rev_append
+             ((e.src :: e.dst :: List.of_seq (chars (Graph.edge_kind_name e.kind)))
+             @ (e.base :: List.length e.components :: comps) @ [ removed ])
+             !acc;
+         None)
+       g);
+  fnv32 (List.to_seq (List.rev !acc))
+
+let path_hash g =
+  fnv32
+    (Seq.flat_map
+       (fun (v, k) ->
+         Seq.cons v
+           (match k with
+            | None -> Seq.return (-1)
+            | Some k -> chars (Graph.edge_kind_name k)))
+       (List.to_seq (Graph.critical_path g)))
+
+(* Golden (num_edges, edges, critical path, slacks, DOT, 256-subset) hashes
+   recorded from the graph builder that kept boxed edge records next to
+   its flat arrays: any change to what the builder emits, how a node's
+   in-edges are ordered or how the graph evaluates moves one of them.
+   gcc with no warm-up covers the first instruction's I-cache floor. *)
+let test_graph_golden () =
+  List.iter
+    (fun (name, warmup, (ne, eh, ph, sh, dh, vh)) ->
+      let g = window_graph ~warmup name in
+      let label what = Printf.sprintf "%s/w%d %s" name warmup what in
+      Alcotest.(check int) (label "num_edges") ne (Graph.num_edges g);
+      Alcotest.(check int) (label "edges") eh (edges_hash g);
+      Alcotest.(check int) (label "critical path") ph (path_hash g);
+      Alcotest.(check int) (label "slacks") sh (fnv32 (Array.to_seq (Graph.slacks g)));
+      Alcotest.(check int) (label "dot") dh (fnv32 (chars (Graph.to_dot g)));
+      Alcotest.(check int) (label "eval_subsets") vh
+        (fnv32 (Array.to_seq (Graph.eval_subsets g all_subsets))))
+    [
+      ( "gcc", 20_000,
+        (52569, 2598129366, 2053837460, 3419262926, 1842190511, 1764468765) );
+      ( "mcf", 20_000,
+        (51991, 2257539737, 2902461853, 1297335324, 860343012, 3642992677) );
+      ( "vortex", 20_000,
+        (52068, 1806962909, 1660226765, 1110285800, 1763516473, 1644784037) );
+      ( "gcc", 0,
+        (53239, 2216803392, 1789050817, 15037530, 2039423208, 2460639617) );
+    ]
+
 let prop_eval_deterministic =
   QCheck.Test.make ~name:"evaluation is deterministic" ~count:5
     (QCheck.make (QCheck.Gen.oneofl [ "gap"; "eon" ]))
@@ -259,5 +334,6 @@ let suite =
       Alcotest.test_case "sliced eval = scalar" `Quick test_sliced_matches_scalar;
       Alcotest.test_case "sliced eval unpacked fallback" `Quick
         test_sliced_unpacked_fallback;
+      Alcotest.test_case "graph golden pin" `Quick test_graph_golden;
       QCheck_alcotest.to_alcotest prop_eval_deterministic;
     ] )

@@ -1561,6 +1561,44 @@ let test_serve_snapshot_warm_restart () =
     s2.P.snapshot_hits;
   Alcotest.(check int) "no snapshot rejects" 0 s2.P.snapshot_rejects
 
+(* A closed connection's record (16 KiB read scratch, line buffer, parked
+   replies) goes when its thread ends, not at shutdown: after warm-up,
+   thousands of one-request connections leave the live heap where it
+   was. *)
+let test_serve_closed_connections_freed () =
+  sigpipe_off ();
+  let socket = tmp_socket "conns" in
+  if Sys.file_exists socket then Sys.remove socket;
+  let opts =
+    { Server.default_opts with socket; workers = 1; handle_signals = false }
+  in
+  let srv = start_server opts in
+  Client.close (Client.connect ~retry_for:10.0 ~socket ());
+  let health n =
+    for i = 1 to n do
+      let fd = raw_connect socket in
+      raw_send fd (P.encode_request (req ~id:i P.Health) ^ "\n");
+      (match raw_read_lines fd 1 with
+       | [ line ] -> ignore (decode_reply_exn line)
+       | _ -> Alcotest.fail "health not answered");
+      Unix.close fd
+    done;
+    (* let the last connection threads see EOF and exit *)
+    Thread.delay 0.2
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  health 200;
+  let before = live_words () in
+  health 3000;
+  let grown = live_words () - before in
+  if grown >= 300_000 then
+    Alcotest.failf "3000 closed connections kept %d live words" grown;
+  let s = Client.connect_session ~retry_for:10.0 ~socket () in
+  shutdown_server s srv
+
 (* Chaos: several fault points armed at once under a deterministic seed.
    Every query must still come back correct through the retry layer. *)
 (* ---------- sweep op ---------- *)
@@ -1893,4 +1931,6 @@ let suite =
         test_serve_chaos;
       Alcotest.test_case "serve: snapshot warm restart" `Slow
         test_serve_snapshot_warm_restart;
+      Alcotest.test_case "serve: closed connections free their records" `Slow
+        test_serve_closed_connections_freed;
     ] )

@@ -1,11 +1,13 @@
-(* Tests for the persistent snapshot store (icost.graphcache.v1):
+(* Tests for the persistent snapshot store (icost.graphcache.v2):
    round-trips, corruption and version handling — a damaged file must
    always be reported as [`Reject] (never raise, never partially load) —
-   and warm-start establishment semantics. *)
+   and warm-start establishment semantics, including a graph decoded from
+   disk. *)
 
 module Category = Icost_core.Category
 module Cost = Icost_core.Cost
 module Config = Icost_uarch.Config
+module Graph = Icost_depgraph.Graph
 module Runner = Icost_experiments.Runner
 module Workload = Icost_workloads.Workload
 module Snapshot = Icost_service.Snapshot
@@ -97,14 +99,14 @@ let test_wrong_magic () =
   Snapshot.save ~dir:tmpdir ~key (payload_of ~key [||]);
   let file = Snapshot.file_of ~dir:tmpdir ~key in
   let s = read_file file in
-  (* a future format version must be rejected, not misparsed *)
-  let v2 =
-    "icost.graphcache.v2\n"
-    ^ String.sub s 20 (String.length s - 20)
-  in
-  write_file file v2;
-  Alcotest.(check string) "version bump rejected" "bad magic or version"
-    (reject_reason (Snapshot.load ~dir:tmpdir ~key));
+  (* an older or a future format version must be rejected, not
+     misparsed *)
+  List.iter
+    (fun magic ->
+      write_file file (magic ^ String.sub s 20 (String.length s - 20));
+      Alcotest.(check string) "version bump rejected" "bad magic or version"
+        (reject_reason (Snapshot.load ~dir:tmpdir ~key)))
+    [ "icost.graphcache.v1\n"; "icost.graphcache.v3\n" ];
   write_file file "not a snapshot at all";
   Alcotest.(check string) "garbage rejected" "bad magic or version"
     (reject_reason (Snapshot.load ~dir:tmpdir ~key))
@@ -194,6 +196,46 @@ let test_establish_warm_start () =
   Alcotest.(check bool) "rebuild carries the graph" true
     (cross.Snapshot.est_graph () <> None)
 
+(* A fullgraph session established cold, persisted and warm-started
+   decodes its graph from disk; the decoded graph prices every subset
+   exactly as a freshly built one. *)
+let test_establish_graph_from_disk () =
+  let key = "estab|fullgraph" in
+  let cfg = Config.default in
+  let establish () =
+    Snapshot.establish ~cache_dir:tmpdir ~key ~kind:Runner.Fullgraph ~cfg
+      ~seed:0
+      ~prepare:(fun () -> Lazy.force prepared)
+      ()
+  in
+  let cold = establish () in
+  Alcotest.(check bool) "cold = miss" true (cold.Snapshot.est_disk = `Miss);
+  ignore (Cost.query cold.Snapshot.est_oracle Category.Set.empty);
+  Snapshot.persist ~dir:tmpdir ~key cold;
+  let warm = establish () in
+  Alcotest.(check bool) "warm = hit" true (warm.Snapshot.est_disk = `Hit);
+  let fresh = Runner.graph_of cfg (Lazy.force prepared) in
+  let all_sets = Array.init (1 lsl Category.count) Fun.id in
+  let same what g =
+    Alcotest.(check int) (what ^ ": num_edges") (Graph.num_edges fresh)
+      (Graph.num_edges g);
+    Alcotest.(check int) (what ^ ": critical_length")
+      (Graph.critical_length fresh) (Graph.critical_length g);
+    Alcotest.(check bool) (what ^ ": 256 subsets") true
+      (Graph.eval_subsets g all_sets = Graph.eval_subsets fresh all_sets)
+  in
+  (match warm.Snapshot.est_graph () with
+   | Some g -> same "est_graph" g
+   | None -> Alcotest.fail "warm fullgraph session has no graph");
+  (* the image itself decodes (est_graph would fall back to a rebuild) *)
+  (match warm.Snapshot.est_graph_bytes with
+   | Some bytes -> same "unmarshal" (Graph.unmarshal bytes)
+   | None -> Alcotest.fail "warm fullgraph session has no graph image");
+  Alcotest.(check bool) "garbage image raises Failure" true
+    (match Graph.unmarshal "not a graph" with
+     | _ -> false
+     | exception Failure _ -> true)
+
 let test_persist_only_on_growth () =
   let key = "growth" in
   let cfg = Config.default in
@@ -235,6 +277,8 @@ let suite =
       Alcotest.test_case "key mismatch rejected" `Quick test_key_mismatch;
       Alcotest.test_case "concurrent readers" `Quick test_concurrent_readers;
       Alcotest.test_case "establish warm start" `Quick test_establish_warm_start;
+      Alcotest.test_case "establish graph from disk" `Quick
+        test_establish_graph_from_disk;
       Alcotest.test_case "persist only on growth" `Quick
         test_persist_only_on_growth;
     ] )

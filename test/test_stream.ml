@@ -69,16 +69,7 @@ let test_source_of_program () =
 
 (* ---- the timing model: golden slots, and every consumer agrees ---- *)
 
-(* FNV-1a (32-bit) over the little-endian bytes of a sequence of ints. *)
-let fnv32 ints =
-  Seq.fold_left
-    (fun h v ->
-      let h = ref h in
-      for byte = 0 to 7 do
-        h := ((!h lxor ((v lsr (8 * byte)) land 0xff)) * 0x01000193) land 0xffffffff
-      done;
-      !h)
-    0x811c9dc5 ints
+let fnv32 = Kernel_util_shim.fnv32
 
 let slot_fields (s : Ooo.slot) =
   List.to_seq
