@@ -1,69 +1,112 @@
 #!/bin/sh
-# Engine performance gate: re-measure the micro-benchmarks, the service
-# benchmarks (daemon warm queries + snapshot cold starts) and the closed-loop
-# load benchmark (1-shard sequential vs 2-shard pipelined batches, then the
-# kill -9 chaos soak — its soak/ rows are informational here, gated
-# absolutely inside the load run itself) and fail
-# (exit 1) if any row regressed more than 25% against its committed baseline —
-# BENCH_engines.json for micro, BENCH_service.json for service,
-# BENCH_load.json for load, BENCH_sweep.json for the sensitivity sweep,
-# BENCH_stream.json for the bounded-memory streaming analysis —
-# or if a baseline row was not measured at all.
-# The gate is direction-aware: "-qps" rows regress by dropping, latency rows
-# by rising.  On failure the harness prints a per-row delta table of the
-# offending benchmarks before exiting nonzero.
+# Paired performance gate: time the change against a BASE commit built
+# side by side with it, rather than against a figure recorded on another
+# day on another machine state.
 #
-# Timing is pinned to one domain by default (ICOST_JOBS=1) so the gate
-# measures engine speed, not scheduler luck on a shared runner; export
-# ICOST_JOBS yourself to override.  (The sweep phase manages its own job
-# counts — it times 1 pool job against 4 inside one process.)  Set
-# BENCH_JSON / BENCH_SERVICE_JSON / BENCH_LOAD_JSON / BENCH_SWEEP_JSON to
-# also dump the fresh measurements (e.g. for a CI artifact upload).  The
-# load phase additionally enforces its own absolute gate (2-shard batched
-# >= 2x 1-shard qps at equal-or-better p99 with bit-identical replies),
-# and the sweep phase enforces parallel grid evaluation >= 2x sequential
-# on machines with at least 4 cores; export ICOST_LOAD_GATE=0 /
-# ICOST_SWEEP_GATE=0 to keep only the relative-to-baseline checks on
-# noisy runners.
+#   bench/check_regression.sh [BASE]
 #
-# The stream phase's row values are normalized per million instructions,
-# so ICOST_STREAM_INSNS (default 10M) can scale the run down on slow
-# runners while still comparing against the committed baseline; its
-# absolute gates (bit-identity, bounded peak heap) are skipped with
-# ICOST_STREAM_GATE=0.
+# BASE is any git commit-ish; the default is `git merge-base HEAD main`.
+# It is checked out into a temporary git worktree (under $TMPDIR) and
+# built there; the change is this working tree as it stands.  Each
+# timing phase of bench/main.exe (micro, service, load, sweep) then runs
+# in 10 pairs, the side that runs first alternating from pair to pair,
+# every run on one domain (ICOST_JOBS=1).  Run i of a side writes its
+# rows to _bench/<phase>/{base,change}-<i>.json and its output beside
+# them in a .log file.  `bench/main.exe -- compare _bench` judges every
+# row with icost_bench's rule (Icost_bench_lib.Compare.judge, bound 25%;
+# rows named ...-qps are better higher, the rest lower; soak/ rows are
+# printed, never judged).  The rule sees each pair divided by its
+# geometric mean, so drift of the host between pairs cancels:
+#   improved    at least 9 of 10 pairs won, and the medians differ by
+#               more than BASE's interquartile range;
+#   unresolved  BASE's IQR exceeds 25% of its median and not every pair
+#               was won (listed, not failing);
+#   regressed   the change's median is worse than BASE's by more than
+#               25%, i.e. the median pair slowed by more than 25%;
+#   no worse    otherwise.
 #
-# Refresh the baselines after an intentional change with:
-#   dune exec bench/main.exe -- micro --json BENCH_engines.json
-#   dune exec bench/main.exe -- service --json BENCH_service.json
-#   dune exec bench/main.exe -- load --json BENCH_load.json
-#   dune exec bench/main.exe -- sweep --json BENCH_sweep.json
-#   dune exec bench/main.exe -- stream --json BENCH_stream.json
-set -e
+# Functional gates stay absolute inside their phases, on every run:
+# service (warm >= 10x cold, snapshot >= 5x, bit-identical replies), load
+# (bit-identical replies, 2-shard >= 2x 1-shard qps at no worse p99; the
+# chaos soak's zero failed and zero diverged requests, >= 1 kill,
+# >= 2 respawns and bounded worst-case latency) and sweep (bit-identical,
+# >= 2x on >= 4 cores).  A change run that fails one fails the script; a
+# BASE run that fails one is reported and not counted.  `-- stream`'s
+# gates (bit-identical to the monolithic graph, bounded heap) run once,
+# on the change side only; the phase times nothing.
+#
+# Exit status 1: a regressed row, a row BASE measured and the change
+# lost, or a failed functional gate on the change side.
+#
+# On a 2-core x86 machine the 10 pairs take ~8 min, plus ~2 min for the
+# stream gates and the two builds.
+set -eu
 cd "$(dirname "$0")/.."
-ICOST_JOBS="${ICOST_JOBS:-1}"
+root=$PWD
+base=$(git rev-parse --verify "${1:-$(git merge-base HEAD main)}^{commit}")
+pairs=10
+ICOST_JOBS=1
 export ICOST_JOBS
-if [ -n "${BENCH_JSON:-}" ]; then
-  dune exec bench/main.exe -- micro --baseline BENCH_engines.json --json "$BENCH_JSON"
-else
-  dune exec bench/main.exe -- micro --baseline BENCH_engines.json
-fi
-if [ -n "${BENCH_SERVICE_JSON:-}" ]; then
-  dune exec bench/main.exe -- service --baseline BENCH_service.json --json "$BENCH_SERVICE_JSON"
-else
-  dune exec bench/main.exe -- service --baseline BENCH_service.json
-fi
-if [ -n "${BENCH_LOAD_JSON:-}" ]; then
-  dune exec bench/main.exe -- load --baseline BENCH_load.json --json "$BENCH_LOAD_JSON"
-else
-  dune exec bench/main.exe -- load --baseline BENCH_load.json
-fi
-if [ -n "${BENCH_SWEEP_JSON:-}" ]; then
-  dune exec bench/main.exe -- sweep --baseline BENCH_sweep.json --json "$BENCH_SWEEP_JSON"
-else
-  dune exec bench/main.exe -- sweep --baseline BENCH_sweep.json
-fi
-if [ -n "${BENCH_STREAM_JSON:-}" ]; then
-  dune exec bench/main.exe -- stream --baseline BENCH_stream.json --json "$BENCH_STREAM_JSON"
-else
-  dune exec bench/main.exe -- stream --baseline BENCH_stream.json
-fi
+out=$root/_bench
+rm -rf "$out"
+mkdir -p "$out"
+scratch=$(mktemp -d)
+trap 'git worktree remove --force "$scratch/base" >/dev/null 2>&1 || true; rm -rf "$scratch"' EXIT
+trap 'exit 130' INT TERM
+git worktree add --quiet --detach "$scratch/base" "$base"
+
+echo "building BASE $(git rev-parse --short "$base") and the change"
+(cd "$scratch/base" && dune build --root . bench/main.exe)
+dune build bench/main.exe
+
+# run SIDE PHASE I: one timed run, recorded under _bench/PHASE/
+run() {
+  if [ "$1" = base ]; then tree=$scratch/base; else tree=$root; fi
+  if (cd "$tree" && ./_build/default/bench/main.exe "$2" --json "$out/$2/$1-$3.json") \
+    >"$out/$2/$1-$3.log" 2>&1; then
+    echo "  $2 $1 $3: ok"
+  else
+    echo "  $2 $1 $3: functional gate FAILED (_bench/$2/$1-$3.log)"
+    echo "$2 $1" >>"$scratch/failed"
+  fi
+}
+
+status=0
+: >"$scratch/failed"
+for phase in micro service load sweep; do
+  echo "$phase: $pairs pairs"
+  mkdir -p "$out/$phase"
+  i=1
+  while [ "$i" -le "$pairs" ]; do
+    if [ $((i % 2)) -eq 1 ]; then
+      run base "$phase" "$i"
+      run change "$phase" "$i"
+    else
+      run change "$phase" "$i"
+      run base "$phase" "$i"
+    fi
+    i=$((i + 1))
+  done
+done
+
+echo "stream: functional gates, change side only"
+./_build/default/bench/main.exe stream || status=1
+
+echo
+./_build/default/bench/main.exe compare "$out" || status=1
+
+for phase in micro service load sweep; do
+  nc=$(grep -c "^$phase change$" "$scratch/failed" || true)
+  nb=$(grep -c "^$phase base$" "$scratch/failed" || true)
+  if [ "$nc" -gt 0 ]; then
+    status=1
+    if [ "$nb" -gt 0 ]; then
+      echo "FAIL: $phase functional gate failed in $nc change run(s); fails at BASE too ($nb run(s))"
+    else
+      echo "FAIL: $phase functional gate failed in $nc change run(s)"
+    fi
+  elif [ "$nb" -gt 0 ]; then
+    echo "note: $phase functional gate fails at BASE ($nb run(s)); the change passes"
+  fi
+done
+exit "$status"

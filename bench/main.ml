@@ -4,8 +4,7 @@
    paper (Figure 1, Tables 4a/4b/4c, Figure 3 + the Section 4.3 sensitivity
    comparison, Table 7, the Section 5 profiler statistics and the sampling
    ablation), printing PASS/FAIL shape checks against the paper's
-   qualitative findings, and then runs Bechamel micro-benchmarks of the
-   analysis engines.
+   qualitative findings, and then times the analysis engines.
 
    Usage:
      dune exec bench/main.exe                 -- everything
@@ -14,9 +13,9 @@
                                                   fig3 table7 profstats ablation)
      dune exec bench/main.exe -- micro        -- only the micro-benchmarks
      dune exec bench/main.exe -- service      -- daemon warm-query vs cold
-                                                 one-shot, per engine
-                                                 (BENCH_service.json is the
-                                                 committed record)
+                                                 one-shot, per engine (gates:
+                                                 >= 10x warm, >= 5x snapshot,
+                                                 bit-identical replies)
      dune exec bench/main.exe -- check        -- time one full conformance
                                                  law-table sweep per case
                                                  class (kernel + generated)
@@ -24,42 +23,42 @@
                                                  pipelined batches vs 1-shard
                                                  one-at-a-time, then a chaos
                                                  soak (kill -9 a random shard
-                                                 every ~250 ms under load;
+                                                 every 250 ms under load;
                                                  zero client-visible failures,
                                                  bit-identical replies,
-                                                 bounded worst-case latency)
-                                                 (BENCH_load.json is the
-                                                 committed record; knobs via
-                                                 ICOST_LOAD_* / ICOST_SOAK_*
-                                                 env vars; cannot combine with
-                                                 other modes — it forks
-                                                 daemons)
+                                                 bounded worst-case latency);
+                                                 cannot combine with other
+                                                 modes — it forks daemons
      dune exec bench/main.exe -- sweep        -- parametric sensitivity grid,
                                                  sequential vs 4 pool jobs
-                                                 (BENCH_sweep.json is the
-                                                 committed record; >= 2x
-                                                 speedup gate when >= 4 cores,
-                                                 ICOST_SWEEP_GATE=0 to skip;
-                                                 cannot combine with other
-                                                 modes — it re-pins the pool)
+                                                 (bit-identical; >= 2x gate
+                                                 when >= 4 cores; cannot
+                                                 combine with other modes —
+                                                 it re-pins the pool)
      dune exec bench/main.exe -- stream       -- bounded-memory streaming
                                                  analysis of a 10M-instruction
                                                  run plus a 10x-smaller one
-                                                 (BENCH_stream.json is the
-                                                 committed record; gates:
-                                                 bit-identical to monolithic
-                                                 on one window, big run's
-                                                 peak heap <= 2x small run's;
-                                                 ICOST_STREAM_INSNS scales it
-                                                 down for CI smokes,
-                                                 ICOST_STREAM_GATE=0 skips
-                                                 the absolute gates)
+                                                 (gates: bit-identical to
+                                                 monolithic on one window, big
+                                                 run's peak heap <= 2x small
+                                                 run's; writes no rows)
+     dune exec bench/main.exe -- compare DIR  -- judge the paired runs that
+                                                 bench/check_regression.sh
+                                                 leaves in DIR
 
-   Micro-benchmark flags (see also bench/check_regression.sh):
-     --json FILE        dump the measured times as JSON (BENCH_engines.json
-                        is the committed perf-trajectory record)
-     --baseline FILE    compare against a previously dumped JSON and exit
-                        nonzero if any engine regresses by more than 25% *)
+   Flags:
+     --json FILE        dump the measured rows as JSON (the committed
+                        BENCH_*.json files are records of such runs)
+     --trace FILE / --metrics FILE
+                        enable telemetry and export it at exit
+
+   Environment (the load phase only; CI sets them for a short smoke):
+     ICOST_LOAD_DURATION_S  seconds per throughput phase (default 3)
+     ICOST_LOAD_GATE=0      waive the >= 2x qps and p99 bars; bit-identity
+                            is still enforced
+     ICOST_SOAK_DURATION_S  seconds of chaos soak (default 3)
+     ICOST_SOAK_MAX_LAT_MS  the soak's worst-case latency bound (default
+                            5000) *)
 
 module Runner = Icost_experiments.Runner
 module Drive = Icost_experiments.Drive
@@ -159,30 +158,41 @@ let micro_tests () =
       fun () -> ignore (Profile.profile cfg p.program p.trace p.evts result) );
   ]
 
-(* Best-of-batches timing: per test, size one batch to ~[batch_target]
-   wall-clock, run [batches] of them and keep the fastest per-call time.
-   The minimum is what the code can do when the machine leaves it alone,
-   which is the statistic a regression gate can compare across runs —
-   means and OLS fits on a shared box swing far more than the 25%
-   tolerance (observed: same binary, +67% on consecutive runs). *)
-let time_min ?(batches = 7) ?(batch_target = 0.15) (f : unit -> unit) : float =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let once = Unix.gettimeofday () -. t0 in
-  let iters = max 1 (int_of_float (batch_target /. Float.max 1e-9 once)) in
-  let best = ref infinity in
-  for _ = 1 to batches do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let per_call = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-    if per_call < !best then best := per_call
+(* Best-of-batches timing.  Each test [(name, target, f)] gets a batch
+   sized to ~[target] seconds of calls (one call when [target] is 0);
+   seven rounds then time one batch of every test in turn, and each test
+   keeps its fastest per-call time, in ms.  The minimum is what the
+   code can do when the machine leaves it alone: means and OLS fits on a
+   shared box swing far more than the gate's 25% bound (observed: same
+   binary, +67% on consecutive runs).  Interleaving spreads each test's
+   batches over the whole phase, so a noisy stretch of a few seconds
+   slows a few batches of many rows rather than every batch of one. *)
+let time_min (tests : (string * float * (unit -> unit)) list) =
+  let sized =
+    List.map
+      (fun (name, target, f) ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        let once = Unix.gettimeofday () -. t0 in
+        (name, f, max 1 (int_of_float (target /. Float.max 1e-9 once)), ref infinity))
+      tests
+  in
+  for _ = 1 to 7 do
+    List.iter
+      (fun (_, f, iters, best) ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to iters do
+          f ()
+        done;
+        best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int iters))
+      sized
   done;
-  !best *. 1e3
+  List.map (fun (name, _, _, best) -> (name, !best *. 1e3)) sized
 
 let run_micro () : (string * float) list =
-  let rows = List.map (fun (name, f) -> (name, time_min f)) (micro_tests ()) in
+  let rows =
+    time_min (List.map (fun (name, f) -> (name, 0.15, f)) (micro_tests ()))
+  in
   let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
   Printf.printf "\nmicro-benchmarks (best time per call):\n";
   List.iter (fun (name, ms) -> Printf.printf "  %-36s %10.3f ms/run\n" name ms) rows;
@@ -239,11 +249,7 @@ let run_service () : (string * float) list =
     | _ -> Runner.Fullgraph
   in
   let settings = { Runner.warmup; measure; benches = [ bench ] } in
-  let w =
-    match Workload.find bench with
-    | Some w -> w
-    | None -> failwith "bench workload missing"
-  in
+  let w = Workload.find_exn bench in
   (* the full one-shot pipeline, rebuilt from scratch every call *)
   let direct engine () =
     let p = Runner.prepare settings w in
@@ -274,78 +280,81 @@ let run_service () : (string * float) list =
        grown memo, so measured calls replay entirely from disk *)
     let est0, bd0 = run () in
     Snapshot.persist ~dir:cache_dir ~key est0;
-    (bd0, fun () -> snd (run ()))
+    (cache_dir, bd0, fun () -> snd (run ()))
   in
+  let body_of bd =
+    Protocol.R_breakdown
+      {
+        baseline = bd.Breakdown.baseline_cycles;
+        rows =
+          List.map
+            (fun (r : Breakdown.row) ->
+              { Protocol.row_label = Breakdown.row_label r;
+                row_percent = r.Breakdown.percent;
+                row_cycles = r.Breakdown.cycles })
+            bd.Breakdown.rows;
+      }
+  in
+  let encode body = Protocol.encode_reply { Protocol.rep_id = 0; body } in
   Printf.printf "\nservice mode: warm daemon query vs cold one-shot (%s, %d+%d):\n"
     bench warmup measure;
   let ok = ref true in
   let rows =
     Client.with_client ~retry_for:10.0 ~socket (fun c ->
-        List.concat_map
-          (fun engine ->
-            (* prime the daemon's caches, keeping the reply for the
-               bit-identity check *)
-            let reply = Client.call c (breakdown_req engine) in
-            (match reply.Protocol.body with
-             | Ok _ -> ()
-             | Error (_, msg) -> failwith ("service bench: " ^ msg));
-            let body_of bd =
-              Protocol.R_breakdown
-                {
-                  baseline = bd.Breakdown.baseline_cycles;
-                  rows =
-                    List.map
-                      (fun (r : Breakdown.row) ->
-                        { Protocol.row_label = Breakdown.row_label r;
-                          row_percent = r.Breakdown.percent;
-                          row_cycles = r.Breakdown.cycles })
-                      bd.Breakdown.rows;
-                }
-            in
-            let encode body =
-              Protocol.encode_reply { Protocol.rep_id = 0; body = Ok body }
-            in
-            let bd = direct engine () in
-            let expected = encode (body_of bd) in
-            let identical =
-              expected = Protocol.encode_reply { reply with Protocol.rep_id = 0 }
-            in
-            (* cold: min of single runs (each rebuilds everything) *)
-            let cold_ms =
-              time_min ~batches:3 ~batch_target:0.
-                (fun () -> ignore (direct engine ()))
-            in
-            let warm_ms =
-              time_min (fun () -> ignore (Client.call c (breakdown_req engine)))
-            in
-            (* cold with a primed snapshot store: each call still starts
-               from nothing in memory, but replays prepare/build/memo
-               from disk *)
-            let bd_cached, cached = cached_of engine in
-            let cached_identical = encode (body_of bd_cached) = expected in
-            let cached_ms =
-              time_min ~batches:3 ~batch_target:0. (fun () -> ignore (cached ()))
-            in
+        (* prime the daemon's caches and a snapshot store per engine,
+           checking both replies bit-identical to the direct computation *)
+        let primed =
+          List.map
+            (fun engine ->
+              let reply = Client.call c (breakdown_req engine) in
+              (match reply.Protocol.body with
+               | Ok _ -> ()
+               | Error (_, msg) -> failwith ("service bench: " ^ msg));
+              let expected = encode (Ok (body_of (direct engine ()))) in
+              let cache_dir, bd_cached, cached = cached_of engine in
+              let identical =
+                encode reply.Protocol.body = expected
+                && encode (Ok (body_of bd_cached)) = expected
+              in
+              (* cold: single runs, each rebuilding everything; cached: the
+                 same from nothing in memory, replaying prepare/build/memo
+                 from disk; warm: daemon round trips *)
+              ( engine, identical, cache_dir,
+                [
+                  ( Printf.sprintf "service/cold-breakdown-%s" engine, 0.,
+                    fun () -> ignore (direct engine ()) );
+                  ( Printf.sprintf "service/warm-query-%s" engine, 0.15,
+                    fun () -> ignore (Client.call c (breakdown_req engine)) );
+                  ( Printf.sprintf "service/cold-breakdown-%s-cached" engine, 0.,
+                    fun () -> ignore (cached ()) );
+                ] ))
+            [ "multisim"; "graph"; "profiler" ]
+        in
+        let times =
+          time_min (List.concat_map (fun (_, _, _, tests) -> tests) primed)
+        in
+        List.iter
+          (fun (engine, identical, cache_dir, _) ->
+            Array.iter
+              (fun f -> Sys.remove (Filename.concat cache_dir f))
+              (Sys.readdir cache_dir);
+            Sys.rmdir cache_dir;
+            let ms fmt = List.assoc (Printf.sprintf fmt engine) times in
+            let cold_ms = ms "service/cold-breakdown-%s" in
+            let warm_ms = ms "service/warm-query-%s" in
+            let cached_ms = ms "service/cold-breakdown-%s-cached" in
             let speedup = cold_ms /. warm_ms in
             let cached_speedup = cold_ms /. cached_ms in
-            let pass =
-              speedup >= 10. && identical
-              && cached_speedup >= 5. && cached_identical
-            in
+            let pass = speedup >= 10. && cached_speedup >= 5. && identical in
             if not pass then ok := false;
             Printf.printf
               "  %-10s cold %8.2f ms  warm %7.3f ms (%6.1fx)  snapshot \
                %7.2f ms (%5.1fx)  bit-identical %-5s %s\n"
               engine cold_ms warm_ms speedup cached_ms cached_speedup
-              (if identical && cached_identical then "yes" else "NO")
-              (if pass then "PASS" else "FAIL");
-            [
-              (Printf.sprintf "service/cold-breakdown-%s" engine, cold_ms);
-              (Printf.sprintf "service/warm-query-%s" engine, warm_ms);
-              (Printf.sprintf "service/cold-breakdown-%s-cached" engine,
-               cached_ms);
-            ])
-          [ "multisim"; "graph"; "profiler" ])
+              (if identical then "yes" else "NO")
+              (if pass then "PASS" else "FAIL"))
+          primed;
+        times)
   in
   Client.with_client ~retry_for:5.0 ~socket (fun c ->
       ignore
@@ -368,11 +377,6 @@ module Supervise = Icost_service.Supervise
 
 (* Environment knobs so CI can run a seconds-long smoke with the same
    code path that produces the committed BENCH_load.json. *)
-let env_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v when v > 0 -> v
-  | _ -> default
-
 let env_float name default =
   match Option.bind (Sys.getenv_opt name) float_of_string_opt with
   | Some v when v > 0. -> v
@@ -471,9 +475,9 @@ let shard_pids_of router =
   | [ supervisor ] -> children_of supervisor
   | _ -> []
 
-(* The shape of one load run, read from the environment once: the run and
-   its BENCH_load.json record both use this value, so the record reports
-   the settings actually measured (e.g. the clamped batch size). *)
+(* The shape of one load run: the run and its BENCH_load.json record
+   both use this value, so the record reports the settings measured.
+   Only the phase durations come from the environment. *)
 type load_settings = {
   conns : int;
   batch : int;
@@ -487,19 +491,19 @@ type load_settings = {
 
 let load_settings () =
   {
-    conns = env_int "ICOST_LOAD_CONNS" 16;
+    conns = 16;
     (* Batch shape: deep pipelines and big frames buy qps but stack
        frames behind each other on the shared core, inflating per-frame
        latency; 8-item frames at depth 1 keep both in-flight bytes and
        queueing small enough that the batched p99 beats the sequential
        one while still clearing the 2x throughput bar with margin. *)
-    batch = min Protocol.max_batch_items (env_int "ICOST_LOAD_BATCH" 8);
-    batch_conns = env_int "ICOST_LOAD_BATCH_CONNS" 2;
-    depth = env_int "ICOST_LOAD_DEPTH" 1;
+    batch = 8;
+    batch_conns = 2;
+    depth = 1;
     duration_s = env_float "ICOST_LOAD_DURATION_S" 3.;
     soak_duration_s = env_float "ICOST_SOAK_DURATION_S" 3.;
-    soak_kill_every_s = env_float "ICOST_SOAK_KILL_EVERY_S" 0.25;
-    soak_conns = env_int "ICOST_SOAK_CONNS" 4;
+    soak_kill_every_s = 0.25;
+    soak_conns = 4;
   }
 
 let run_load (s : load_settings) : (string * float) list =
@@ -513,7 +517,6 @@ let run_load (s : load_settings) : (string * float) list =
       (Printf.sprintf "icost-load-%s-%d" tag (Unix.getpid ()))
   in
   let soak_max_lat_ms = env_float "ICOST_SOAK_MAX_LAT_MS" 5000. in
-  let soak_gate = Sys.getenv_opt "ICOST_SOAK_GATE" <> Some "0" in
   let socket1 = tmp "one.sock" and socket2 = tmp "two.sock" in
   let socket3 = tmp "soak.sock" in
   List.iter
@@ -788,28 +791,27 @@ let run_load (s : load_settings) : (string * float) list =
     (Atomic.get kills) soak_respawns soak_failovers (soak_ok + soak_failed)
     soak_failed (Atomic.get mismatches);
   let speedup = qps2 /. qps1 in
-  let pass = (not gate) || (speedup >= 2. && p99_2 <= p99_1 && !identical) in
+  (* the waiver covers the timing bars only: a reply that differs between
+     topologies is a correctness failure on any runner *)
+  let pass = !identical && ((not gate) || (speedup >= 2. && p99_2 <= p99_1)) in
   Printf.printf
-    "  load gate (>= 2x qps, p99 no worse, bit-identical): %.2fx  %s\n"
+    "  load gate (bit-identical, >= 2x qps, p99 no worse): %.2fx  %s\n"
     speedup
-    (if not gate then "SKIPPED (ICOST_LOAD_GATE=0)"
-     else if pass then "PASS"
-     else "FAIL");
+    (if not pass then "FAIL"
+     else if gate then "PASS"
+     else "PASS (bit-identical; qps and p99 bars waived by ICOST_LOAD_GATE=0)");
   let soak_pass =
-    (not soak_gate)
-    || (soak_failed = 0
-        && Atomic.get mismatches = 0
-        && Atomic.get kills >= 1
-        && soak_respawns >= 2
-        && soak_max <= soak_max_lat_ms)
+    soak_failed = 0
+    && Atomic.get mismatches = 0
+    && Atomic.get kills >= 1
+    && soak_respawns >= 2
+    && soak_max <= soak_max_lat_ms
   in
   Printf.printf
     "  soak gate (zero failures, bit-identical, >= 1 kill, >= 2 respawns, \
      max <= %g ms): %s\n"
     soak_max_lat_ms
-    (if not soak_gate then "SKIPPED (ICOST_SOAK_GATE=0)"
-     else if soak_pass then "PASS"
-     else "FAIL");
+    (if soak_pass then "PASS" else "FAIL");
   if not (pass && soak_pass) then exit 1;
   [
     ("load/1shard-seq-qps", qps1);
@@ -818,7 +820,7 @@ let run_load (s : load_settings) : (string * float) list =
     ("load/2shard-batch-qps", qps2);
     ("load/2shard-batch-p50-ms", p50_2);
     ("load/2shard-batch-p99-ms", p99_2);
-    (* soak rows are informational in the relative regression gate (the
+    (* soak rows are printed but never judged by [-- compare] (the
        absolute gate above is the contract): kill counts and chaos tail
        latencies are not comparable run to run *)
     ("soak/qps", soak_qps);
@@ -848,12 +850,12 @@ let rec layout depth = function
     ^ "\n" ^ String.make (2 * depth) ' ' ^ "}"
   | v -> Json.encode v
 
-(* Every committed BENCH_*.json record has one shape: an optional schema,
-   the command that wrote it, the unit, optional settings, the run
-   manifest when [workloads] is given (so two records are comparable
-   across machines and CI runs), and the rows under "results" — the only
-   member {!read_json} and the regression gate read.  A non-finite row is
-   written as null, which the gate then reports as missing. *)
+(* Every BENCH_*.json record has one shape: an optional schema, the
+   command that wrote it, the unit, optional settings, the run manifest
+   when [workloads] is given (so two records are comparable across
+   machines and CI runs), and the rows under "results" — the only member
+   {!read_json} and [-- compare] read.  A non-finite row is written as
+   null, which [-- compare] then reports as lost. *)
 let write_json ?schema ?settings ?workloads ~mode ~unit file
     (rows : (string * float) list) =
   let manifest workloads =
@@ -894,102 +896,92 @@ let read_json file : (string * float) list =
       rows
   | _ -> failwith (file ^ ": no \"results\" object")
 
-(** Exit nonzero if any benchmark present in both runs got more than
-    [tolerance] worse, or if a baseline row was not measured at all —
-    a silently vanished benchmark would otherwise pass the gate exactly
-    when it breaks.  New names are reported but do not fail.
-
-    The gate is direction-aware: rows named [...-qps] are throughputs
-    (bigger is better — a drop regresses), everything else is a time
-    (smaller is better).  Load latencies ([load/...-ms]) carry a larger
-    absolute slack than engine rows: closed-loop tail latency on a
-    shared runner swings by milliseconds, not microseconds. *)
-let check_regressions ~baseline_file (rows : (string * float) list) =
-  let tolerance = 0.25 in
-  (* sub-0.1 ms rows (socket round trips) jitter by tens of microseconds
-     with the scheduler; an absolute slack keeps the relative gate from
-     firing on noise without loosening it for multi-ms engine rows *)
-  let slack_ms = 0.05 in
-  let load_slack_ms = 2.0 in
-  let is_qps name =
-    let suffix = "-qps" in
-    let nl = String.length name and sl = String.length suffix in
-    nl >= sl && String.sub name (nl - sl) sl = suffix
+(* [-- compare DIR]: judge the change against BASE from the records that
+   bench/check_regression.sh leaves in DIR/<phase>/{base,change}-<i>.json;
+   run [i] of both sides form pair [i], timed back to back.  Each row gets
+   icost_bench's verdict ({!Icost_bench_lib.Compare.judge}) at a 25%
+   bound: rows named [...-qps] are throughputs (higher is better), the
+   rest times.  The judge sees each pair divided by its geometric mean,
+   [sqrt (b /. c)] for BASE and [sqrt (c /. b)] for the change, so what
+   the host did to both runs of a pair cancels: BASE's spread is then the
+   pairs' own rather than the drift between them (a whole phase swings
+   +-30% over minutes on a shared 2-core box), and the delta judged is
+   the median pair's.  soak/ rows are printed but never judged: a kill
+   storm's cost is not comparable run to run, and the soak's absolute
+   gate is its contract.  Returns 1 on a regressed row or a row BASE
+   measured and no change run of the same pair did; unresolved rows are
+   listed and do not fail. *)
+let run_compare dir =
+  let module C = Icost_bench_lib.Compare in
+  let module Pct = Icost_bench_lib.Pct in
+  let runs phase side =
+    let pdir = Filename.concat dir phase in
+    Sys.readdir pdir |> Array.to_list
+    |> List.filter_map (fun f ->
+           match Scanf.sscanf_opt f "%[a-z]-%d.json%!" (fun s i -> (s, i)) with
+           | Some (s, i) when s = side -> Some (i, read_json (Filename.concat pdir f))
+           | _ -> None)
+    |> List.sort compare
   in
-  let is_load name =
-    String.length name >= 5 && String.sub name 0 5 = "load/"
+  let phases =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun p -> Sys.is_directory (Filename.concat dir p))
+    |> List.sort compare
   in
-  (* chaos-soak rows record what one run's kill storm happened to cost;
-     the soak's own absolute gate (zero failures, bounded max latency)
-     is the contract, so run-to-run deltas are reported but never fail *)
-  let is_soak name =
-    String.length name >= 5 && String.sub name 0 5 = "soak/"
-  in
-  let baseline = read_json baseline_file in
-  let regressions = ref [] in
-  Printf.printf "\nregression check vs %s (tolerance +%.0f%% or +%.2f ms; \
-                 qps rows gate on drops):\n"
-    baseline_file (tolerance *. 100.) slack_ms;
+  let bad = ref false and unresolved = ref [] in
+  Printf.printf "%-36s %12s %12s %8s  %s\n" "row" "base" "change" "delta"
+    "verdict";
   List.iter
-    (fun (name, ms) ->
-      match List.assoc_opt name baseline with
-      | None -> Printf.printf "  %-36s (new, no baseline)\n" name
-      | Some base ->
-        let delta = (ms -. base) /. base *. 100. in
-        let regressed, improved =
-          if is_soak name then (false, false)
-          else if is_qps name then (ms < base *. (1. -. tolerance), delta > 5.)
-          else begin
-            let slack = if is_load name then load_slack_ms else slack_ms in
-            ( ms > base *. (1. +. tolerance) && ms > base +. slack,
-              delta < -5. )
-          end
-        in
-        let flag =
-          if regressed then begin
-            regressions := (name, base, ms) :: !regressions;
-            "REGRESSION"
-          end
-          else if is_soak name then "informational"
-          else if improved then "improved"
-          else "ok"
-        in
-        Printf.printf "  %-36s %8.3f -> %8.3f %s  %+6.1f%%  %s\n" name base
-          ms
-          (if is_qps name then "q/s   " else "ms/run")
-          delta flag)
-    rows;
-  let missing =
-    List.filter (fun (name, _) -> not (List.mem_assoc name rows)) baseline
-  in
-  List.iter
-    (fun (name, _) ->
-      Printf.printf "  %-36s (in baseline, MISSING from this run)\n" name)
-    missing;
-  (match missing with
-   | [] -> ()
-   | m ->
-     Printf.printf "\n%d baseline benchmark(s) were not measured:\n"
-       (List.length m);
-     List.iter (fun (name, _) -> Printf.printf "  %s\n" name) m);
-  match (!regressions, missing) with
-  | [], [] ->
-    Printf.printf "no engine regressed more than %.0f%%\n" (tolerance *. 100.)
-  | rs, _ ->
-    (* the gate failed: repeat the offending engines as one compact delta
-       table so a CI log tail shows the full verdict, not just "exit 1" *)
-    if rs <> [] then begin
-      Printf.printf "\n%d engine benchmark(s) regressed more than %.0f%%:\n"
-        (List.length rs) (tolerance *. 100.);
-      Printf.printf "  %-36s %10s %10s %8s\n" "engine" "baseline" "current"
-        "delta";
+    (fun phase ->
+      let base = runs phase "base" and change = runs phase "change" in
+      let names =
+        List.sort_uniq compare
+          (List.concat_map (fun (_, rows) -> List.map fst rows) (base @ change))
+      in
       List.iter
-        (fun (name, base, ms) ->
-          Printf.printf "  %-36s %10.3f %10.3f %+7.1f%%\n" name base ms
-            ((ms -. base) /. base *. 100.))
-        (List.rev rs)
-    end;
-    exit 1
+        (fun name ->
+          let values runs =
+            List.filter_map
+              (fun (i, rows) -> Option.map (fun v -> (i, v)) (List.assoc_opt name rows))
+              runs
+          in
+          let b = values base and c = values change in
+          let parent =
+            Array.of_list
+              (List.filter_map
+                 (fun (i, vb) -> Option.map (fun vc -> sqrt (vb /. vc)) (List.assoc_opt i c))
+                 b)
+          in
+          let change = Array.map (fun x -> 1. /. x) parent in
+          let verdict =
+            if b = [] then "new"
+            else if Array.length parent = 0 then (bad := true; "LOST")
+            else if String.starts_with ~prefix:"soak/" name then "not judged"
+            else begin
+              let better_lower = not (String.ends_with ~suffix:"-qps" name) in
+              let v = C.judge { C.better_lower; bound = 0.25 } ~parent ~change in
+              if v = C.Regressed then bad := true;
+              if v = C.Unresolved then unresolved := name :: !unresolved;
+              C.verdict_name v
+            end
+          in
+          let median xs =
+            if xs = [] then Float.nan else Pct.median (Array.of_list (List.map snd xs))
+          in
+          let delta =
+            if Array.length parent = 0 then Float.nan
+            else (Pct.median change /. Pct.median parent -. 1.) *. 100.
+          in
+          Printf.printf "%-36s %12.5g %12.5g %8s  %s (%d vs %d runs)\n" name
+            (median b) (median c)
+            (if Float.is_finite delta then Printf.sprintf "%+.1f%%" delta else "-")
+            verdict (List.length b) (List.length c))
+        names)
+    phases;
+  if !unresolved <> [] then
+    Printf.printf "unresolved (the pairs' spread exceeds the bound; not failing): %s\n"
+      (String.concat ", " (List.rev !unresolved));
+  if !bad then 1 else 0
 
 (* ------------------------------------------------------------------ *)
 (* Conformance sweep timing                                            *)
@@ -1041,9 +1033,8 @@ let run_check () : (string * float) list =
    parallel (independent baseline re-simulations), so with enough cores
    the 4-job run must be at least 2x the sequential one — that absolute
    gate is enforced here (skipped with a notice when the machine has
-   fewer than 4 cores, or with ICOST_SWEEP_GATE=0), while the committed
-   BENCH_sweep.json row times are gated relatively by
-   check_regression.sh like every other baseline. *)
+   fewer than 4 cores), while the row times are judged against a BASE
+   build by check_regression.sh like every other timing row. *)
 let sweep_bench_specs = [ "window=16..512"; "mem_lat=10..160:10" ]
 
 let sweep_bench_settings =
@@ -1061,26 +1052,17 @@ let run_sweep_bench () : (string * float) list =
   let sweep () =
     Sweep.run ~engine:Sweep.Sim ~cfg:Config.default ~prepared ~axes ()
   in
-  let time_best () =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = sweep () in
-      let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      if ms < !best then best := ms;
-      result := Some r
-    done;
-    match !result with
-    | Some r -> (!best, r)
-    | None -> assert false
+  (* one sweep at [jobs] pool jobs for the bit-identity check, then its
+     best time; the pool is resized outside the timed calls *)
+  let run jobs row =
+    Pool.set_jobs jobs;
+    let r = sweep () in
+    (r, List.assoc row (time_min [ (row, 0., fun () -> ignore (sweep ())) ]))
   in
   let jobs0 = Pool.jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_jobs jobs0) @@ fun () ->
-  Pool.set_jobs 1;
-  let seq_ms, r_seq = time_best () in
-  Pool.set_jobs 4;
-  let par_ms, r_par = time_best () in
+  let r_seq, seq_ms = run 1 "sweep/gcc-seq-ms" in
+  let r_par, par_ms = run 4 "sweep/gcc-par4-ms" in
   (* parallel evaluation must not change a single bit of the answer *)
   if
     List.exists2
@@ -1101,10 +1083,7 @@ let run_sweep_bench () : (string * float) list =
   Printf.printf "  sweep/gcc-seq-ms   %10.1f ms\n" seq_ms;
   Printf.printf "  sweep/gcc-par4-ms  %10.1f ms   (%.2fx)\n" par_ms speedup;
   let cores = Stdlib.Domain.recommended_domain_count () in
-  let gate = Sys.getenv_opt "ICOST_SWEEP_GATE" <> Some "0" in
-  if not gate then
-    Printf.printf "  parallel >= 2x gate: SKIPPED (ICOST_SWEEP_GATE=0)\n"
-  else if cores < 4 then
+  if cores < 4 then
     Printf.printf
       "  parallel >= 2x gate: SKIPPED (%d core(s) < 4, nothing to win)\n"
       cores
@@ -1123,46 +1102,33 @@ let run_sweep_bench () : (string * float) list =
 module Stream_core = Icost_stream.Core
 module Stream_source = Icost_stream.Source
 
-(* [-- stream]: push ICOST_STREAM_INSNS (default 10M) instructions of
-   gcc — three orders of magnitude past the monolithic window — through
-   the segmented core, and also a run one tenth the size.  Two absolute
-   gates make the phase self-verifying:
+(* [-- stream]: push 10M instructions of gcc — three orders of magnitude
+   past the monolithic window — through the segmented core, and also a
+   run one tenth the size.  Two absolute gates make the phase
+   self-verifying:
 
-   - bounded memory: the big run's peak heap may be at most
-     ICOST_STREAM_MEM_FACTOR (default 2.0) times the small run's, even
-     though it analyzes 10x the instructions;
+   - bounded memory: the big run's peak heap may be at most twice the
+     small run's, even though it analyzes 10x the instructions;
    - exactness: the streamed aggregate over one monolithic-size window
      must be bit-identical to [Graph.eval_subsets] on all 256 subsets
      (the in-process twin of the [stream-matches-monolithic] law).
 
-   Row values are normalized per million instructions, so a CI smoke at
-   a smaller ICOST_STREAM_INSNS still compares against the committed
-   BENCH_stream.json (ICOST_STREAM_GATE=0 keeps only the relative
-   check). *)
-let stream_bench = "gcc"
-let stream_warmup = 20_000
-
-let run_stream () : (string * float) list =
-  let insns = env_int "ICOST_STREAM_INSNS" 10_000_000 in
-  let small = max 100_000 (insns / 10) in
-  let mem_factor = env_float "ICOST_STREAM_MEM_FACTOR" 2.0 in
-  let gate = Sys.getenv_opt "ICOST_STREAM_GATE" <> Some "0" in
-  let w = Workload.find_exn stream_bench in
+   It times nothing: icost_bench's stream-gcc workload times the same
+   analysis, with medians over passes. *)
+let run_stream () =
+  let bench = "gcc" and warmup = 20_000 in
+  let insns = 10_000_000 in
+  let small = insns / 10 in
+  let w = Workload.find_exn bench in
   let cfg = Config.default in
   let analyze n =
-    let src =
-      Stream_source.of_program cfg (w.Workload.build ())
-        ~warmup:stream_warmup ~max_insns:n
-    in
-    let t0 = Unix.gettimeofday () in
-    let r = Stream_core.analyze cfg src in
-    (r, (Unix.gettimeofday () -. t0) *. 1e3)
+    Stream_core.analyze cfg
+      (Stream_source.of_program cfg (w.Workload.build ()) ~warmup ~max_insns:n)
   in
   (* bit-identity spot check on one monolithic-size window *)
   let p =
     Runner.prepare
-      { Runner.warmup = stream_warmup; measure = 30_000;
-        benches = [ stream_bench ] }
+      { Runner.warmup; measure = 30_000; benches = [ bench ] }
       w
   in
   let all_subsets = Array.init 256 (fun s -> s) in
@@ -1178,59 +1144,42 @@ let run_stream () : (string * float) list =
   (* warm the allocator and the domain pool so the small run's peak heap
      is a fair yardstick rather than the GC's opening ramp *)
   ignore (analyze 100_000);
-  let r_small, small_ms = analyze small in
-  let r_big, big_ms = analyze insns in
+  let r_small = analyze small in
+  let r_big = analyze insns in
   let peak_small = Stream_core.peak_mb r_small in
   let peak_big = Stream_core.peak_mb r_big in
-  let per_m ms n = ms /. (Float.of_int n /. 1e6) in
   Printf.printf
-    "\nstreaming analysis (%s, %d-instruction segments):\n" stream_bench
+    "\nstreaming analysis (%s, %d-instruction segments):\n" bench
     r_big.Stream_core.segment_insns;
-  Printf.printf
-    "  %8dk instructions  %8.0f ms  (%7.1f ms/M)  %4d segments  peak %6.1f MB\n"
-    (small / 1000) small_ms (per_m small_ms small)
-    r_small.Stream_core.segments peak_small;
-  Printf.printf
-    "  %8dk instructions  %8.0f ms  (%7.1f ms/M)  %4d segments  peak %6.1f MB\n"
-    (insns / 1000) big_ms (per_m big_ms insns) r_big.Stream_core.segments
-    peak_big;
+  List.iter
+    (fun (n, (r : Stream_core.result), peak) ->
+      Printf.printf "  %8dk instructions  %5d segments  peak %6.1f MB\n"
+        (n / 1000) r.Stream_core.segments peak)
+    [ (small, r_small, peak_small); (insns, r_big, peak_big) ];
   Printf.printf "  window aggregate bit-identical to monolithic graph: %s\n"
     (if identical then "yes" else "NO");
   let complete =
     r_big.Stream_core.instrs = insns && r_small.Stream_core.instrs = small
   in
-  let bounded = peak_big <= peak_small *. mem_factor in
-  let pass = (not gate) || (identical && complete && bounded) in
+  let pass = identical && complete && peak_big <= peak_small *. 2. in
   Printf.printf
     "  stream gate (bit-identical, all instructions analyzed, 10x run <= \
-     %.1fx small-run heap): %s\n"
-    mem_factor
-    (if not gate then "SKIPPED (ICOST_STREAM_GATE=0)"
-     else if pass then "PASS"
-     else "FAIL");
-  if not pass then exit 1;
-  [
-    ("stream/analyze-ms-per-minsn", per_m big_ms insns);
-    ("stream/analyze-small-ms-per-minsn", per_m small_ms small);
-    ("stream/peak-mb", peak_big);
-    ("stream/peak-mb-small", peak_small);
-  ]
+     2x small-run heap): %s\n"
+    (if pass then "PASS" else "FAIL");
+  if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* split flags ([--json FILE], [--baseline FILE], [--trace FILE],
-     [--metrics FILE]) from experiment ids *)
-  let json_file = ref None and baseline_file = ref None in
+  (* split flags ([--json FILE], [--trace FILE], [--metrics FILE]) from
+     experiment ids *)
+  let json_file = ref None in
   let trace_file = ref None and metrics_file = ref None in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--json" :: f :: rest ->
       json_file := Some f;
-      parse acc rest
-    | "--baseline" :: f :: rest ->
-      baseline_file := Some f;
       parse acc rest
     | "--trace" :: f :: rest ->
       trace_file := Some f;
@@ -1238,11 +1187,15 @@ let () =
     | "--metrics" :: f :: rest ->
       metrics_file := Some f;
       parse acc rest
-    | ("--json" | "--baseline" | "--trace" | "--metrics") :: [] ->
-      failwith "--json/--baseline/--trace/--metrics need a file argument"
+    | ("--json" | "--trace" | "--metrics") :: [] ->
+      failwith "--json/--trace/--metrics need a file argument"
     | id :: rest -> parse (id :: acc) rest
   in
   let ids = parse [] args in
+  (match ids with
+   | [ "compare"; dir ] -> exit (run_compare dir)
+   | "compare" :: _ -> failwith "usage: -- compare DIR"
+   | _ -> ());
   if !trace_file <> None || !metrics_file <> None then
     Icost_util.Telemetry.enable ();
   at_exit (fun () ->
@@ -1260,13 +1213,6 @@ let () =
           (fun file -> Icost_report.Telemetry_export.write_metrics ~file m)
           !metrics_file
       end);
-  (* fail on a bad baseline path up front, not after minutes of timing *)
-  Option.iter
-    (fun f ->
-      if not (Sys.file_exists f) then (
-        Printf.eprintf "error: baseline file %s does not exist\n" f;
-        exit 2))
-    !baseline_file;
   (* [-- load] owns the whole invocation: it forks daemon processes, and
      Unix.fork is forbidden once any other mode has spawned a domain
      (Pool), so it cannot share a run with the other modes. *)
@@ -1293,7 +1239,6 @@ let () =
                ])
           f rows)
       !json_file;
-    Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file;
     exit 0
   end;
   (* [-- sweep] also owns its invocation: it overrides the pool job
@@ -1316,29 +1261,14 @@ let () =
                ])
           f rows)
       !json_file;
-    Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file;
     exit 0
   end;
   (* [-- stream] owns its invocation too: its wall-clock dwarfs the other
-     modes (a 10M-instruction analysis), and it writes its own record. *)
+     modes (a 10M-instruction analysis). *)
   if List.mem "stream" ids then begin
     if List.exists (fun i -> i <> "stream") ids then
       failwith "-- stream cannot be combined with other bench modes";
-    let rows = run_stream () in
-    Option.iter
-      (fun f ->
-        write_json ~schema:"icost.stream-bench.v1" ~mode:"stream"
-          ~unit:"ms per million instructions / MB" ~workloads:[ stream_bench ]
-          ~settings:
-            (Json.Obj
-               [
-                 ("insns", Int (env_int "ICOST_STREAM_INSNS" 10_000_000));
-                 ("segment-insns", Int Stream_core.default_segment_insns);
-                 ("warmup", Int stream_warmup);
-               ])
-          f rows)
-      !json_file;
-    Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file;
+    run_stream ();
     exit 0
   end;
   let micro_requested = ids = [] || List.mem "micro" ids in
@@ -1353,7 +1283,5 @@ let () =
     @ (if check_requested then run_check () else [])
     @ (if micro_requested then run_micro () else [])
   in
-  if rows <> [] then begin
-    Option.iter (fun f -> write_json ~mode:"micro" ~unit:"ms/run" f rows) !json_file;
-    Option.iter (fun f -> check_regressions ~baseline_file:f rows) !baseline_file
-  end
+  if rows <> [] then
+    Option.iter (fun f -> write_json ~mode:"micro" ~unit:"ms/run" f rows) !json_file

@@ -266,7 +266,12 @@ let establish ?cache_dir ~key ~(kind : Runner.oracle_kind) ~(cfg : Config.t)
       | Runner.Streamed ->
         (None, Stream_core.oracle (Runner.stream_run cfg prepared))
     in
-    let graph_bytes = Option.map Graph.marshal graph in
+    (* only the snapshot store reads the image: without one, encoding it
+       would slow every cold build and keep a second copy of the graph
+       for the session's lifetime *)
+    let graph_bytes =
+      Option.bind cache_dir (fun _ -> Option.map Graph.marshal graph)
+    in
     let memo = Cost.memo_make underlying in
     Option.iter
       (fun dir ->

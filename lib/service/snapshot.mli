@@ -81,7 +81,7 @@ type established = {
           for graph reconstruction *)
   est_graph_bytes : string option;
       (** {!Icost_depgraph.Graph.marshal} image of the graph, kept so
-          {!persist} never re-encodes it *)
+          {!persist} never re-encodes it; [None] without a cache dir *)
   est_disk : [ `Hit | `Miss | `Reject | `Off ];
       (** what the snapshot store said; [`Off] without a cache dir *)
   est_persisted : int ref;  (** memo entries already on disk *)

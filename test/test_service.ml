@@ -1070,22 +1070,36 @@ let test_serve_backpressure_and_drain () =
   (* wait for the daemon, then drop the probe connection *)
   Client.close (Client.connect ~retry_for:10.0 ~socket ());
 
-  (* Pipeline 7 cold analysis requests at once: the first occupies the
-     worker (cold preparation), at most one more fits the queue, the rest
-     must be refused with the typed overloaded error — and every accepted
-     request must still be answered.  Each request names a distinct
-     target (so none can be answered from a cache): whenever the worker
-     frees up, the next accepted request is itself a cold build, and the
-     burst behind it still overflows the one-slot queue regardless of
-     how thread scheduling interleaves builds with the reader. *)
+  (* Occupy the worker with one long cold analysis (a multisim breakdown
+     re-simulates a 60k-instruction window once per subset), and wait
+     until an inline [status] on a second connection shows it running
+     with the queue empty.  Then pipeline six cold requests behind it on
+     the first connection, each naming a distinct target (so none can be
+     answered from a cache): one fits the one-slot queue and the other
+     five must be refused with the typed overloaded error — and every
+     accepted request must still be answered.  Only the long request
+     finishing mid-burst could change the count, whatever the host's
+     speed at building the small windows. *)
   let total = 7 in
+  let breakdown_line ~id tg =
+    P.encode_request (req ~id (P.Breakdown { target = tg; focus = "dl1" })) ^ "\n"
+  in
   let fd = raw_connect socket in
+  raw_send fd
+    (breakdown_line ~id:0 { tg with P.engine = "multisim"; measure = 60_000 });
+  let probe = raw_connect socket in
+  wait_for "the long request running alone" (fun () ->
+      raw_send probe (P.encode_request (req ~id:50 P.Status) ^ "\n");
+      match raw_read_lines probe 1 with
+      | [ line ] -> (
+        match (decode_reply_exn line).P.body with
+        | Ok (P.R_status st) -> st.P.inflight = 1 && st.P.queue_depth = 0
+        | _ -> false)
+      | _ -> false);
+  Unix.close probe;
   let buf = Buffer.create 1024 in
-  for i = 1 to total do
-    let tg = { tg with P.measure = 800 + i } in
-    Buffer.add_string buf
-      (P.encode_request (req ~id:i (P.Breakdown { target = tg; focus = "dl1" })));
-    Buffer.add_char buf '\n'
+  for i = 1 to total - 1 do
+    Buffer.add_string buf (breakdown_line ~id:i { tg with P.measure = 800 + i })
   done;
   raw_send fd (Buffer.contents buf);
   let replies = List.map decode_reply_exn (raw_read_lines fd total) in

@@ -236,6 +236,21 @@ let test_establish_graph_from_disk () =
      | _ -> false
      | exception Failure _ -> true)
 
+(* Without a snapshot store nothing reads the graph image, so a fresh
+   fullgraph session keeps its graph but no marshalled copy of it. *)
+let test_establish_no_cache_dir_keeps_no_image () =
+  let est =
+    Snapshot.establish ~key:"estab|nocache" ~kind:Runner.Fullgraph
+      ~cfg:Config.default ~seed:0
+      ~prepare:(fun () -> Lazy.force prepared)
+      ()
+  in
+  Alcotest.(check bool) "no store = off" true (est.Snapshot.est_disk = `Off);
+  Alcotest.(check bool) "session has its graph" true
+    (est.Snapshot.est_graph () <> None);
+  Alcotest.(check bool) "no graph image kept" true
+    (est.Snapshot.est_graph_bytes = None)
+
 let test_persist_only_on_growth () =
   let key = "growth" in
   let cfg = Config.default in
@@ -279,6 +294,8 @@ let suite =
       Alcotest.test_case "establish warm start" `Quick test_establish_warm_start;
       Alcotest.test_case "establish graph from disk" `Quick
         test_establish_graph_from_disk;
+      Alcotest.test_case "establish without a cache dir keeps no graph image"
+        `Quick test_establish_no_cache_dir_keeps_no_image;
       Alcotest.test_case "persist only on growth" `Quick
         test_persist_only_on_growth;
     ] )
